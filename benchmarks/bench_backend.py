@@ -1,27 +1,22 @@
-"""Backend code-quality report: the optimizing backend vs the preserved seed.
+"""Backend code-quality report: RISC Zero cycles and code size at ``-O3``.
 
 Compiles every seed benchmark at ``-O3`` (the paper's CPU-tuned profile)
-through both backends —
+through :func:`repro.backend.compile_module` — immediate-folding lowering
+with per-block constant/address reuse and loop-invariant hoisting, the
+machine-level peephole pass, and the hole-aware, loop-weighted linear-scan
+allocator — replays each program on the emulator, and evaluates the RISC Zero
+and SP1 cost models on the trace.
 
-* ``opt``  — the optimizing backend of :func:`repro.backend.compile_module`:
-  immediate-folding lowering with per-block constant/address reuse and
-  loop-invariant hoisting, the machine-level peephole pass, and the
-  hole-aware, loop-weighted linear-scan allocator;
-* ``seed`` — the preserved pre-overhaul backend
-  (:mod:`repro.backend.seed_lowering`): eager materialization, per-phi
-  staging registers, single-range linear scan, no machine-level cleanup —
+Every count here is deterministic, so the bar needs no threshold: a full-suite
+run fails if the geomean RISC Zero total cycles, the total dynamic
+instructions or the total static instructions exceed the committed
+``BENCH_backend.json``, which is read before the new report is written.
+Guest behaviour is checked separately, against the IR interpreter, by
+``tests/test_backend_differential.py``.
 
-replays both on the emulator, and evaluates the RISC Zero cost model on each
-trace.  Every emitted instruction is *proven* on a zkVM, so the acceptance
-bar is the **geomean reduction in RISC Zero total cycles** (user + paging)
-across all 58 benchmarks: ≥10% locally, relaxed via ``--min-reduction`` in
-CI.  Guest outputs must match between the two backends for every benchmark
-(the full differential suite lives in ``tests/test_backend_differential.py``).
-
-``make bench-backend`` writes ``BENCH_backend.json`` so the code-quality
-trajectory is tracked across PRs.  Runs standalone
-(``python benchmarks/bench_backend.py [--json PATH]``) and as a pytest
-target under the bench harness.
+``make bench-backend`` writes ``BENCH_backend.json``.  Runs standalone
+(``python benchmarks/bench_backend.py [--json PATH]``) and as a pytest target
+under the bench harness.
 """
 
 from __future__ import annotations
@@ -35,111 +30,96 @@ from pathlib import Path
 if __name__ == "__main__":  # allow running without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-#: The optimizing backend must reduce RISC Zero total cycles by this fraction
-#: (geomean across the suite) versus the preserved seed backend.
-REQUIRED_REDUCTION = 0.10
+#: The committed report the bar compares against.
+COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_backend.json"
+
+#: Aggregate counts that must not exceed their committed values.
+BARRED = ("risc0_cycles_geomean", "instructions", "static_instructions")
 
 #: Instruction budget per run; a few -O3 kernels legitimately run long.
 MAX_INSTRUCTIONS = 80_000_000
 
 
-def _measure(program, benchmark):
-    """Replay ``program`` and return (trace, risc0_metrics, sp1_metrics)."""
-    from repro.emulator import Machine
-    from repro.zkvm.models import ZKVMS
+def committed_aggregate(path: Path = COMMITTED) -> dict:
+    """The aggregate of the committed report ({} when there is none)."""
+    if not path.is_file():
+        return {}
+    return json.loads(path.read_text()).get("aggregate", {})
 
-    machine = Machine(program, max_instructions=MAX_INSTRUCTIONS,
-                      input_values=benchmark.inputs)
-    trace = machine.run("main", benchmark.args)
-    risc0 = ZKVMS["risc0"].evaluate(trace, machine.page_in_events,
-                                    machine.page_out_events)
-    sp1 = ZKVMS["sp1"].evaluate(trace, machine.page_in_events,
-                                machine.page_out_events)
-    return trace, risc0, sp1
+
+def regressions(aggregate: dict, committed: dict) -> list[str]:
+    """One message per barred count above its committed value."""
+    return [f"{key} {aggregate[key]} exceeds the committed {committed[key]}"
+            for key in BARRED
+            if key in committed and aggregate[key] > committed[key]]
 
 
 def run_report(benchmarks=None, echo=print) -> dict:
-    """Compile + replay every benchmark under both backends; returns the report."""
+    """Compile + replay every benchmark; returns the report."""
     from repro.analysis.reporting import format_table
     from repro.backend import compile_module
     from repro.benchmarks import all_benchmark_names, get_benchmark
+    from repro.emulator import Machine
     from repro.experiments.profiles import profile_by_name
     from repro.frontend import compile_source
     from repro.passes import PassManager
+    from repro.zkvm.models import ZKVMS
 
     names = benchmarks or all_benchmark_names()
     profile = profile_by_name("-O3")
 
     per_benchmark: dict[str, dict] = {}
-    log_ratio_sum = 0.0
-    totals = {"seed_cycles": 0, "opt_cycles": 0,
-              "seed_instructions": 0, "opt_instructions": 0,
-              "seed_static": 0, "opt_static": 0}
     for name in names:
         benchmark = get_benchmark(name)
         module = compile_source(benchmark.source, module_name=name)
         PassManager(profile.passes, profile.config).run(module)
-        seed_program = compile_module(module, profile.cost_model,
-                                      seed_backend=True)
-        opt_program = compile_module(module, profile.cost_model)
-
-        seed_trace, seed_risc0, _ = _measure(seed_program, benchmark)
-        opt_trace, opt_risc0, opt_sp1 = _measure(opt_program, benchmark)
-        if (seed_trace.output, seed_trace.return_value) != \
-                (opt_trace.output, opt_trace.return_value):
-            raise AssertionError(
-                f"{name}: seed and optimizing backends disagree on guest "
-                f"output — run tests/test_backend_differential.py")
-
-        ratio = opt_risc0.total_cycles / seed_risc0.total_cycles
-        log_ratio_sum += math.log(ratio)
+        program = compile_module(module, profile.cost_model)
+        machine = Machine(program, max_instructions=MAX_INSTRUCTIONS,
+                          input_values=benchmark.inputs)
+        trace = machine.run("main", benchmark.args)
+        zkvm = {zkvm_name: ZKVMS[zkvm_name].evaluate(
+                    trace, machine.page_in_events, machine.page_out_events)
+                for zkvm_name in ("risc0", "sp1")}
         per_benchmark[name] = {
-            "seed_total_cycles": seed_risc0.total_cycles,
-            "opt_total_cycles": opt_risc0.total_cycles,
-            "cycle_ratio": ratio,
-            "seed_instructions": seed_trace.instructions,
-            "opt_instructions": opt_trace.instructions,
-            "seed_static": seed_program.total_static_instructions(),
-            "opt_static": opt_program.total_static_instructions(),
-            "opt_sp1_cycles": opt_sp1.total_cycles,
+            "risc0_total_cycles": zkvm["risc0"].total_cycles,
+            "sp1_total_cycles": zkvm["sp1"].total_cycles,
+            "instructions": trace.instructions,
+            "static_instructions": program.total_static_instructions(),
         }
-        totals["seed_cycles"] += seed_risc0.total_cycles
-        totals["opt_cycles"] += opt_risc0.total_cycles
-        totals["seed_instructions"] += seed_trace.instructions
-        totals["opt_instructions"] += opt_trace.instructions
-        totals["seed_static"] += seed_program.total_static_instructions()
-        totals["opt_static"] += opt_program.total_static_instructions()
 
-    geomean_ratio = math.exp(log_ratio_sum / len(names))
+    rows = per_benchmark.values()
     aggregate = {
         "benchmarks": len(names),
         "profile": profile.name,
-        "geomean_cycle_ratio": geomean_ratio,
-        "geomean_reduction": 1.0 - geomean_ratio,
-        "required_reduction": REQUIRED_REDUCTION,
-        **totals,
+        "risc0_cycles_geomean": math.exp(
+            sum(math.log(r["risc0_total_cycles"]) for r in rows) / len(names)),
+        "risc0_cycles": sum(r["risc0_total_cycles"] for r in rows),
+        "sp1_cycles": sum(r["sp1_total_cycles"] for r in rows),
+        "instructions": sum(r["instructions"] for r in rows),
+        "static_instructions": sum(r["static_instructions"] for r in rows),
     }
 
-    top = sorted(per_benchmark.items(), key=lambda item: item[1]["cycle_ratio"])
-    rows = [[name, data["seed_total_cycles"], data["opt_total_cycles"],
-             f"{(1 - data['cycle_ratio']) * 100:.1f}%"]
-            for name, data in top[:10] + top[-3:]]
+    top = sorted(per_benchmark.items(),
+                 key=lambda item: -item[1]["risc0_total_cycles"])[:12]
     echo(format_table(
-        ["benchmark", "seed cycles", "opt cycles", "reduction"],
-        rows, title=f"RISC Zero total cycles at -O3 (best 10 / worst 3 of "
-                    f"{len(names)} benchmarks)"))
-    echo(f"aggregate: geomean cycle reduction "
-         f"{(1 - geomean_ratio) * 100:.1f}% "
-         f"(required: {REQUIRED_REDUCTION * 100:.0f}%) | dynamic instructions "
-         f"{totals['seed_instructions']} -> {totals['opt_instructions']} | "
-         f"static {totals['seed_static']} -> {totals['opt_static']}")
+        ["benchmark", "risc0 cycles", "sp1 cycles", "dyn instrs", "static"],
+        [[name, data["risc0_total_cycles"], data["sp1_total_cycles"],
+          data["instructions"], data["static_instructions"]]
+         for name, data in top],
+        title=f"Backend at -O3 (top {len(top)} of {len(names)} benchmarks "
+              f"by RISC Zero cycles)"))
+    echo(f"aggregate: RISC Zero cycles geomean "
+         f"{aggregate['risc0_cycles_geomean']:.1f} | dynamic instructions "
+         f"{aggregate['instructions']} | static "
+         f"{aggregate['static_instructions']}")
     return {"aggregate": aggregate, "per_benchmark": per_benchmark}
 
 
 def test_backend_code_quality():
-    """Bench-harness entry: the optimizing backend must hold its bar."""
+    """Bench-harness entry: no barred count may exceed the committed one."""
+    committed = committed_aggregate()
     report = run_report()
-    assert report["aggregate"]["geomean_reduction"] >= REQUIRED_REDUCTION
+    assert not regressions(report["aggregate"], committed)
 
 
 def main(argv=None) -> int:
@@ -147,24 +127,19 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH",
                         help="write the full report as JSON to PATH")
     parser.add_argument("--benchmarks", nargs="+",
-                        help="subset of benchmark names (default: all)")
-    parser.add_argument("--min-reduction", type=float,
-                        default=REQUIRED_REDUCTION,
-                        help="geomean cycle-reduction bar to enforce "
-                             f"(default: {REQUIRED_REDUCTION})")
+                        help="subset of benchmark names (default: all; a "
+                             "subset skips the bar)")
     args = parser.parse_args(argv)
+    committed = committed_aggregate()
     report = run_report(benchmarks=args.benchmarks)
-    report["aggregate"]["enforced_reduction"] = args.min_reduction
+    failures = [] if args.benchmarks else \
+        regressions(report["aggregate"], committed)
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True))
         print(f"wrote {args.json}")
-    reduction = report["aggregate"]["geomean_reduction"]
-    if reduction < args.min_reduction:
-        print(f"FAIL: geomean RISC Zero cycle reduction "
-              f"{reduction * 100:.1f}% is below the "
-              f"{args.min_reduction * 100:.0f}% bar", file=sys.stderr)
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

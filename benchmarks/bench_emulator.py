@@ -1,6 +1,6 @@
 """Emulator throughput report: pre-decoded fast path vs seed interpreter.
 
-Replays the full seed benchmark suite (baseline profile) three ways and
+Replays the full seed benchmark suite (baseline profile) several ways and
 reports Minstr/s per benchmark plus the aggregate:
 
 * ``reference`` — the seed per-instruction interpreter
@@ -8,9 +8,6 @@ reports Minstr/s per benchmark plus the aggregate:
 * ``fast cold`` — the production :class:`~repro.emulator.machine.Machine` on a
   freshly compiled program (timing includes the one-off decode);
 * ``fast warm`` — a second replay of the same program, decoded stream cached;
-* ``batched`` (``--batched``) — N lockstep lanes through the NumPy
-  :class:`~repro.emulator.batched.BatchedMachine`, reported as *aggregate*
-  Minstr/s (all lanes' instructions over one wall clock);
 * ``translated`` (``--translated``) — single-stream replay through the
   superblock-translating :class:`~repro.emulator.translate.TranslatedMachine`,
   with byte-for-byte parity (TraceStats, page events, final memory) asserted
@@ -22,14 +19,11 @@ benchmarks (``ecdsa-verify``, ``eddsa-verify``) no longer produce
 single-timer-tick noise instead of throughput.
 
 The acceptance bars: the decode-once fast path must hold an aggregate
-fast/reference speedup of at least 3x; with ``--batched`` the batched
-aggregate must beat the single-stream warm aggregate by at least
-``--min-batched-speedup`` (default 5x, the CI bar; the local target at 256
-lanes is 20x+); with ``--translated`` the translated single-stream aggregate
-must beat the warm aggregate by at least ``--min-translated-speedup``
-(default 4x).  ``make bench-emulator`` / ``make bench-emulator-batched``
-write ``BENCH_emulator.json`` so the throughput trajectory is tracked across
-PRs.
+fast/reference speedup of at least 3x; with ``--translated`` the translated
+single-stream aggregate must beat the warm aggregate by at least
+``--min-translated-speedup`` (default 4x).  ``make bench-emulator`` /
+``make bench-emulator-translated`` write ``BENCH_emulator.json`` so the
+throughput trajectory is tracked across PRs.
 
 Runs standalone (``python benchmarks/bench_emulator.py [--json PATH]``) and as
 a pytest target under the bench harness.
@@ -48,14 +42,9 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
 
 #: The fast path must beat the seed interpreter by at least this factor.
 REQUIRED_SPEEDUP = 3.0
-#: The batched aggregate must beat the warm single-stream aggregate by at
-#: least this factor (the CI bar; locally 256 lanes lands well above 20x).
-REQUIRED_BATCHED_SPEEDUP = 5.0
 #: The translated single-stream aggregate must beat the warm fast-path
 #: aggregate by at least this factor.
 REQUIRED_TRANSLATED_SPEEDUP = 4.0
-#: Default lane count for the batched pass.
-DEFAULT_LANES = 256
 #: Repeat each timed workload until it has run at least this long, then
 #: report the per-replay average — tiny benchmarks otherwise measure timer
 #: granularity, not throughput.
@@ -89,12 +78,10 @@ def _timed(once, min_seconds: float):
     return total / repeats, result
 
 
-def run_report(benchmarks=None, echo=print, batched_lanes=None,
-               translated=False, min_seconds: float = MIN_DURATION_S) -> dict:
+def run_report(benchmarks=None, echo=print, translated=False,
+               min_seconds: float = MIN_DURATION_S) -> dict:
     """Measure every benchmark on both interpreters; returns the report dict.
 
-    ``batched_lanes`` adds the batched lockstep pass at that lane count (and
-    its per-lane differential check against the single-stream trace);
     ``translated`` adds the superblock-translation pass (with full
     byte-for-byte parity checks against the warm single-stream machine).
     """
@@ -102,17 +89,11 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
     from repro.benchmarks import all_benchmark_names, get_benchmark
     from repro.emulator import Machine, ReferenceMachine, TranslatedMachine
 
-    if batched_lanes:
-        from repro.emulator.batched import BatchedMachine, require_numpy
-
-        require_numpy()
-
     names = benchmarks or all_benchmark_names()
     rows = []
     per_benchmark = {}
     totals = {"instructions": 0, "reference_s": 0.0, "cold_s": 0.0,
-              "warm_s": 0.0, "batched_instructions": 0, "batched_s": 0.0,
-              "translated_s": 0.0}
+              "warm_s": 0.0, "translated_s": 0.0}
     for name in names:
         benchmark = get_benchmark(name)
         program = _compile(name)
@@ -160,22 +141,6 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
         totals["cold_s"] += cold_s
         totals["warm_s"] += warm_s
 
-        if batched_lanes:
-            batched_s, lane_stats = _timed(
-                lambda: BatchedMachine(program, batched_lanes,
-                                       input_values=benchmark.inputs)
-                .run("main", args=args), min_seconds)
-            for lane, stats in enumerate(lane_stats):
-                assert stats == ref_stats, \
-                    f"batched lane {lane} diverged on {name}"
-            batched_instructions = instructions * batched_lanes
-            data = per_benchmark[name]
-            data["batched_minstr_s"] = batched_instructions / batched_s / 1e6
-            data["batched_speedup"] = (data["batched_minstr_s"]
-                                       / data["fast_warm_minstr_s"])
-            totals["batched_instructions"] += batched_instructions
-            totals["batched_s"] += batched_s
-
         if translated:
             def translated_once():
                 machine = TranslatedMachine(program,
@@ -209,9 +174,6 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
                round(data["fast_cold_minstr_s"], 2),
                round(data["fast_warm_minstr_s"], 2),
                round(data["speedup_warm"], 2)]
-        if batched_lanes:
-            row.append(round(data["batched_minstr_s"], 2))
-            row.append(round(data["batched_speedup"], 2))
         if translated:
             row.append(round(data["translated_minstr_s"], 2))
             row.append(round(data["translated_speedup"], 2))
@@ -228,13 +190,6 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
         "required_speedup": REQUIRED_SPEEDUP,
         "min_duration_s": min_seconds,
     }
-    if batched_lanes:
-        aggregate["batched_lanes"] = batched_lanes
-        aggregate["batched_minstr_s"] = (totals["batched_instructions"]
-                                         / totals["batched_s"] / 1e6)
-        aggregate["batched_speedup"] = (aggregate["batched_minstr_s"]
-                                        / aggregate["fast_warm_minstr_s"])
-        aggregate["required_batched_speedup"] = REQUIRED_BATCHED_SPEEDUP
     if translated:
         aggregate["translated_minstr_s"] = (totals["instructions"]
                                             / totals["translated_s"] / 1e6)
@@ -244,8 +199,6 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
 
     headers = ["benchmark", "instrs", "ref Mi/s", "cold Mi/s", "warm Mi/s",
                "speedup"]
-    if batched_lanes:
-        headers += [f"batch({batched_lanes}) Mi/s", "batch speedup"]
     if translated:
         headers += ["xlate Mi/s", "xlate speedup"]
     echo(format_table(
@@ -258,11 +211,6 @@ def run_report(benchmarks=None, echo=print, batched_lanes=None,
          f" | speedup {aggregate['speedup_cold']:.2f}x cold /"
          f" {aggregate['speedup_warm']:.2f}x warm"
          f" (required: {REQUIRED_SPEEDUP:.1f}x)")
-    if batched_lanes:
-        echo(f"batched:   {aggregate['batched_minstr_s']:.2f} Minstr/s "
-             f"aggregate over {batched_lanes} lanes | "
-             f"{aggregate['batched_speedup']:.2f}x warm single-stream "
-             f"(required: {REQUIRED_BATCHED_SPEEDUP:.1f}x)")
     if translated:
         echo(f"translated: {aggregate['translated_minstr_s']:.2f} Minstr/s "
              f"single-stream | {aggregate['translated_speedup']:.2f}x warm "
@@ -275,18 +223,6 @@ def test_emulator_throughput():
     report = run_report()
     assert report["aggregate"]["speedup_cold"] >= REQUIRED_SPEEDUP
     assert report["aggregate"]["speedup_warm"] >= REQUIRED_SPEEDUP
-
-
-def test_emulator_batched_throughput():
-    """Bench-harness entry: batched lockstep must hold its aggregate bar."""
-    from repro.emulator import numpy_available
-
-    if not numpy_available():  # pragma: no cover - CI images ship numpy
-        import pytest
-
-        pytest.skip("numpy not installed")
-    report = run_report(batched_lanes=DEFAULT_LANES)
-    assert report["aggregate"]["batched_speedup"] >= REQUIRED_BATCHED_SPEEDUP
 
 
 def test_emulator_translated_throughput():
@@ -302,15 +238,6 @@ def main(argv=None) -> int:
                         help="write the full report as JSON to PATH")
     parser.add_argument("--benchmarks", nargs="+",
                         help="subset of benchmark names (default: all)")
-    parser.add_argument("--batched", action="store_true",
-                        help="also measure the batched lockstep emulator and "
-                             "enforce its aggregate speedup bar")
-    parser.add_argument("--lanes", type=int, default=DEFAULT_LANES,
-                        help=f"batched lane count (default: {DEFAULT_LANES})")
-    parser.add_argument("--min-batched-speedup", type=float,
-                        default=REQUIRED_BATCHED_SPEEDUP,
-                        help="minimum batched-vs-warm aggregate speedup "
-                             f"(default: {REQUIRED_BATCHED_SPEEDUP})")
     parser.add_argument("--translated", action="store_true",
                         help="also measure the superblock-translating engine "
                              "and enforce its aggregate speedup bar")
@@ -323,7 +250,6 @@ def main(argv=None) -> int:
                              f"per-replay average (default: {MIN_DURATION_S})")
     args = parser.parse_args(argv)
     report = run_report(benchmarks=args.benchmarks,
-                        batched_lanes=args.lanes if args.batched else None,
                         translated=args.translated,
                         min_seconds=args.min_seconds)
     if args.json:
@@ -334,14 +260,6 @@ def main(argv=None) -> int:
         print(f"FAIL: aggregate cold speedup "
               f"{report['aggregate']['speedup_cold']:.2f}x is below the "
               f"{REQUIRED_SPEEDUP:.1f}x bar", file=sys.stderr)
-    if args.batched:
-        batched_ok = (report["aggregate"]["batched_speedup"]
-                      >= args.min_batched_speedup)
-        if not batched_ok:
-            print(f"FAIL: batched aggregate speedup "
-                  f"{report['aggregate']['batched_speedup']:.2f}x is below "
-                  f"the {args.min_batched_speedup:.1f}x bar", file=sys.stderr)
-        ok = ok and batched_ok
     if args.translated:
         translated_ok = (report["aggregate"]["translated_speedup"]
                          >= args.min_translated_speedup)

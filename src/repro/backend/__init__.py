@@ -7,10 +7,10 @@ optimizing pipeline::
 
     lowering.py  →  peephole.py  →  regalloc.py  →  frame finalization
 
-The pre-overhaul backend is preserved verbatim in
-:mod:`repro.backend.seed_lowering` and reachable via
-``compile_module(..., seed_backend=True)`` — the ``--seed-backend`` escape
-hatch used by the backend differential tests and ``make bench-backend``.
+Its independent oracle is the IR interpreter: the backend differential
+tests and the fuzz harness replay every compiled guest and compare its
+output and return value with :func:`repro.ir.interpreter.run_module` on the
+same module.
 """
 
 from ..ir import Module
@@ -29,27 +29,17 @@ from .regalloc import (
     LinearScanAllocator, allocate_registers, finalize_frame,
     weighted_static_cost,
 )
-from .seed_lowering import seed_compile_module
 
 
 def compile_module(module: Module,
-                   cost_model: TargetCostModel = CPU_COST_MODEL,
-                   seed_backend: bool = False) -> AssemblyProgram:
+                   cost_model: TargetCostModel = CPU_COST_MODEL) -> AssemblyProgram:
     """Lower ``module`` to RV32IM and run the full backend on every function.
-
-    ``seed_backend=True`` routes the compile through the preserved seed
-    backend instead (:func:`repro.backend.seed_lowering.seed_compile_module`)
-    for differential testing and benchmarking.
 
     The returned program carries ``backend_stats``: per-function dicts of
     static size before/after the peephole passes, per-rule peephole hit
     counts, and the allocator's spill statistics (``repro lower --stats``
     renders them).
     """
-    if seed_backend:
-        program = seed_compile_module(module, cost_model)
-        _attach_code_sizes(program)
-        return program
     program = lower_module(module, cost_model)
     ir_functions = {f.name: f for f in module.defined_functions()}
     backend_stats: dict[str, dict] = {}
@@ -73,16 +63,15 @@ def compile_module(module: Module,
     return program
 
 
-def _attach_code_sizes(program: AssemblyProgram,
-                       backend_stats: dict | None = None) -> None:
+def _attach_code_sizes(program: AssemblyProgram, backend_stats: dict) -> None:
     """Measure the program's binary footprint and record it on the program.
 
     ``program.code_sizes`` holds the whole-program byte counts
-    (``{"rv32": ..., "rvc": ...}``); with ``backend_stats`` given, each
-    function's entry additionally gets ``code_bytes``/``code_bytes_rvc``.
-    Programs carrying something the encoder rejects (possible for
-    hand-built test inputs, never for lowered code) get ``code_sizes=None``
-    rather than failing the compile.
+    (``{"rv32": ..., "rvc": ...}``), and each function's ``backend_stats``
+    entry gets ``code_bytes``/``code_bytes_rvc``.  Programs carrying
+    something the encoder rejects (possible for hand-built test inputs,
+    never for lowered code) get ``code_sizes=None`` rather than failing the
+    compile.
     """
     try:
         sizes = code_size_report(program)
@@ -90,12 +79,11 @@ def _attach_code_sizes(program: AssemblyProgram,
         program.code_sizes = None
         return
     program.code_sizes = {"rv32": sizes["rv32"], "rvc": sizes["rvc"]}
-    if backend_stats:
-        for name, stats in backend_stats.items():
-            per_function = sizes["functions"].get(name)
-            if per_function is not None:
-                stats["code_bytes"] = per_function["rv32"]
-                stats["code_bytes_rvc"] = per_function["rvc"]
+    for name, stats in backend_stats.items():
+        per_function = sizes["functions"].get(name)
+        if per_function is not None:
+            stats["code_bytes"] = per_function["rv32"]
+            stats["code_bytes_rvc"] = per_function["rvc"]
 
 
 #: Spilled-vreg count at which ``compile_module`` re-lowers a function with
@@ -131,7 +119,7 @@ def _run_backend_pipeline(asm: AssemblyFunction) -> dict:
 
 
 __all__ = [
-    "compile_module", "seed_compile_module", "lower_module",
+    "compile_module", "lower_module",
     "allocate_registers", "run_peephole", "cleanup_after_regalloc",
     "AssemblyFunction", "AssemblyProgram", "Label", "MachineInstr", "classify",
     "TargetCostModel", "CPU_COST_MODEL", "ZKVM_COST_MODEL", "cost_model_for",

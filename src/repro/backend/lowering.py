@@ -1,9 +1,8 @@
 """Instruction selection: lowering IR modules to RV32IM machine code.
 
 This is the optimizing selector introduced by the backend code-quality
-overhaul (the seed's eager selector survives in
-:mod:`repro.backend.seed_lowering`).  Every emitted instruction is later
-*proven* by the zkVM, so the selector works to keep the dynamic stream short:
+overhaul.  Every emitted instruction is later *proven* by the zkVM, so the
+selector works to keep the dynamic stream short:
 
 * **No eager materialization.**  Constants fold into ``addi``/``andi``/
   ``slti``-style immediate forms; the constant 0 is the ``zero`` register;

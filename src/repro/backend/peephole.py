@@ -25,8 +25,8 @@ All transformations preserve guest-visible behaviour (outputs, return value,
 host-call sequence); they deliberately *change* the instruction stream and
 therefore dynamic instruction/load/store counts — that is the point.  The
 backend differential suite (``tests/test_backend_differential.py``) pins the
-behavioural equivalence against the preserved seed backend for every
-benchmark under both paper profiles.
+behavioural equivalence against the IR interpreter for every benchmark under
+both paper profiles.
 
 Hit counters for every rule are accumulated into a plain dict (see
 :func:`run_peephole` / :func:`cleanup_after_regalloc`) and surfaced by

@@ -7,8 +7,7 @@ register file, forcing spill loads/stores inside hot loops — cheap on a CPU
 with a store buffer and an L1 hit, expensive on a zkVM where every spill is
 another proven instruction and a potential page touch.
 
-The allocator (rewritten in the backend code-quality overhaul; the seed's
-single-range scan survives in :mod:`repro.backend.seed_lowering`) improves on
+The allocator (rewritten in the backend code-quality overhaul) improves on
 classic linear scan in three ways:
 
 * **Lifetime holes.**  A virtual register's liveness is a list of disjoint

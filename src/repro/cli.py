@@ -17,11 +17,11 @@ content-addressed on-disk cache afterwards:
 * ``repro passes BENCH..`` — show a profile's pass pipeline; with ``--time``,
   compile the benchmarks and report per-pass wall time plus analysis-cache
   activity (computed/hits/invalidated/drifted/skipped).
-* ``repro lower BENCH..``  — show the optimizing backend's assembly; with
-  ``--stats``, per-function static instruction counts, spill statistics and
-  peephole hit counts compared against the preserved seed backend.
+* ``repro lower BENCH..``  — show the backend's assembly; with ``--stats``,
+  per-function static instruction counts (lowered and final), spill
+  statistics and peephole hit counts.
 * ``repro fuzz``           — differential fuzzing: generated MiniC programs
-  replayed through every oracle (IR interpreter, both backends, both
+  replayed through every oracle (IR interpreter, backend, all three
   emulators, cached-vs-fresh pipeline) under both paper profiles, sharded as
   batched engine jobs; ``--minimize`` reduces failures to ``.repro`` files,
   ``--journal``/``--resume`` checkpoint and continue interrupted campaigns.
@@ -31,8 +31,8 @@ content-addressed on-disk cache afterwards:
 
 Global flags (before the subcommand) select the worker count, the cache
 directory, the emulator's instruction budget, the fault-tolerance knobs
-(``--job-timeout``, ``--retries``, ``--stats``) and the two escape hatches
-(``--no-analysis-cache``, ``--seed-backend``).  ``--json`` on the reporting
+(``--job-timeout``, ``--retries``, ``--stats``) and the analysis-cache
+escape hatch (``--no-analysis-cache``).  ``--json`` on the reporting
 subcommands emits machine-readable output for scripting.
 
 Long campaigns (``fuzz``, ``autotune``) survive interruption: ``Ctrl-C``
@@ -123,7 +123,6 @@ def _make_engine(args, translate: bool = False):
         cache_dir=args.cache_dir,
         use_disk_cache=not args.no_disk_cache,
         analysis_cache=not args.no_analysis_cache,
-        seed_backend=getattr(args, "seed_backend", False),
         translate=translate,
         job_timeout=args.job_timeout,
         retry_policy=RetryPolicy(max_attempts=max(1, args.retries)),
@@ -243,10 +242,8 @@ def _cmd_run(args) -> int:
     engine = _make_engine(args)
     benchmark_name = _check_benchmark(args.benchmark)
     profile = _resolve_profile(args.profile)
-    if getattr(args, "translate", False) and \
-            (getattr(args, "reference", False) or getattr(args, "batch", False)):
-        raise UsageError("--translate cannot be combined with "
-                         "--reference or --batch")
+    if getattr(args, "translate", False) and getattr(args, "reference", False):
+        raise UsageError("--translate cannot be combined with --reference")
     if getattr(args, "translate", False):
         # Replay through the superblock-translating engine; the trace it
         # prints is byte-for-byte what the interpreter would record.
@@ -288,32 +285,6 @@ def _cmd_run(args) -> int:
         print(f"output:        {list(trace.output)}")
         print(f"return value:  {trace.return_value}")
         print(f"instructions:  {trace.instructions}")
-        return 0
-    if getattr(args, "batch", False):
-        # Replay the benchmark across N lockstep lanes of the batched
-        # NumPy emulator; every lane must agree (same program, same inputs).
-        import time as _time
-
-        from .emulator.batched import require_numpy
-
-        lanes = args.lanes
-        if lanes < 1:
-            raise UsageError(f"--lanes must be a positive integer, got {lanes}")
-        require_numpy()
-        start = _time.perf_counter()
-        stats = engine.run_batched(benchmark_name, profile, num_lanes=lanes)
-        elapsed = _time.perf_counter() - start
-        first = stats[0]
-        if any(trace != first for trace in stats):
-            print("FAIL: lanes diverged on identical inputs", file=sys.stderr)
-            return 1
-        total = sum(trace.instructions for trace in stats)
-        print(f"benchmark:     {benchmark_name} [batched x{lanes} lanes]")
-        print(f"profile:       {profile.name}")
-        print(f"output:        {list(first.output)}")
-        print(f"return value:  {first.return_value}")
-        print(f"instructions:  {first.instructions} per lane, {total} total")
-        print(f"throughput:    {total / elapsed / 1e6:.2f} Minstr/s aggregate")
         return 0
     measurement = engine.measure(benchmark_name, profile)
     trace = measurement.trace
@@ -502,8 +473,6 @@ def _cmd_passes(args) -> int:
 
 def _cmd_lower(args) -> int:
     from .analysis.reporting import format_table
-    from .backend import compile_module
-    from .passes import PassManager
 
     engine = _make_engine(args)
     profile = _resolve_profile(args.profile)
@@ -519,41 +488,24 @@ def _cmd_lower(args) -> int:
     rows = []
     report = []
     for benchmark_name in benchmarks:
-        module = engine.frontend_module(benchmark_name).clone()
-        if profile.passes:
-            PassManager(profile.passes, profile.config,
-                        analysis_cache=not args.no_analysis_cache).run(module)
-        seed_program = compile_module(module, profile.cost_model,
-                                      seed_backend=True)
-        opt_program = compile_module(module, profile.cost_model)
-        for function_name, asm in opt_program.functions.items():
-            stats = opt_program.backend_stats[function_name]
-            seed_count = len(
-                seed_program.functions[function_name].instructions())
-            final = stats["final_instructions"]
-            peephole_total = sum(stats["peephole"].values())
-            reduction = (seed_count - final) / seed_count * 100 if seed_count else 0.0
-            rows.append([benchmark_name, function_name, seed_count,
-                         stats["lowered_instructions"], final,
-                         f"{reduction:.1f}", stats["spilled_vregs"],
+        program = engine.compile(benchmark_name, profile)
+        for function_name, stats in program.backend_stats.items():
+            rows.append([benchmark_name, function_name,
+                         stats["lowered_instructions"],
+                         stats["final_instructions"], stats["spilled_vregs"],
                          stats["spill_loads"] + stats["spill_stores"],
-                         peephole_total])
+                         sum(stats["peephole"].values())])
             report.append({"benchmark": benchmark_name,
-                           "function": function_name,
-                           "seed_instructions": seed_count, **stats})
+                           "function": function_name, **stats})
     if args.json:
         _emit({"profile": profile.name, "functions": report}, as_json=True)
         return 0
     print(format_table(
-        ["benchmark", "function", "seed", "lowered", "final", "Δ% vs seed",
-         "spilled", "spill ops", "peephole hits"],
-        rows,
-        title=f"Backend static code size — {profile.name} "
-              f"(seed backend vs optimizing backend)"))
-    totals = (sum(r[2] for r in rows), sum(r[4] for r in rows))
-    if totals[0]:
-        print(f"total: {totals[0]} -> {totals[1]} static instructions "
-              f"({(totals[0] - totals[1]) / totals[0] * 100:.1f}% smaller)")
+        ["benchmark", "function", "lowered", "final", "spilled", "spill ops",
+         "peephole hits"],
+        rows, title=f"Backend static code size — {profile.name}"))
+    print(f"total: {sum(r[2] for r in rows)} lowered -> "
+          f"{sum(r[3] for r in rows)} final static instructions")
     return 0
 
 
@@ -697,11 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recompute every pass-pipeline analysis from "
                              "scratch (the seed pass manager's behaviour; "
                              "used for differential testing)")
-    parser.add_argument("--seed-backend", action="store_true",
-                        help="compile through the preserved seed backend "
-                             "(naive lowering, single-range linear scan, no "
-                             "peephole) instead of the optimizing one; "
-                             "measurements are cached separately")
     parser.add_argument("--max-instructions", type=int, default=20_000_000,
                         help="emulator instruction budget per run")
     parser.add_argument("--job-timeout", type=float, default=None,
@@ -733,11 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", action="store_true",
                    help="replay on the seed reference interpreter "
                         "(slow; for differential debugging)")
-    p.add_argument("--batch", action="store_true",
-                   help="replay across N lockstep lanes of the batched "
-                        "NumPy emulator and report aggregate throughput")
-    p.add_argument("--lanes", type=int, default=64, metavar="N",
-                   help="lane count for --batch (default: 64)")
     p.add_argument("--translate", action="store_true",
                    help="replay through the superblock-translating engine "
                         "(same trace, several times faster)")
@@ -804,15 +746,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_passes)
 
     p = sub.add_parser("lower",
-                       help="inspect backend lowering; --stats compares the "
-                            "optimizing backend against the seed backend")
+                       help="inspect backend lowering; --stats reports "
+                            "static sizes, spills and peephole hits")
     p.add_argument("benchmarks", nargs="+",
                    help="benchmark names, suite names, or 'all'")
     p.add_argument("--profile", default="-O3",
                    help="optimization profile (default: -O3)")
     p.add_argument("--stats", action="store_true",
-                   help="per-function static instruction counts, spills and "
-                        "peephole hits (vs the seed backend)")
+                   help="per-function static instruction counts (lowered "
+                        "and final), spills and peephole hits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lower)
 
@@ -833,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="differential fuzzing across every oracle "
-                            "(IR interpreter, backends, emulators, pipeline)")
+                            "(IR interpreter, backend, emulators, pipeline)")
     p.add_argument("--seeds", type=int, default=200,
                    help="number of generated programs (default: 200)")
     p.add_argument("--mode", default="all",

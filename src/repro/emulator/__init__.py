@@ -1,7 +1,7 @@
 """RISC-V guest emulator: replays compiled guest programs and records the
 execution trace statistics that the zkVM and CPU cost models consume.
 
-Two interchangeable execution paths live here:
+Three interchangeable execution paths live here:
 
 * :class:`Machine` — the production emulator: decode-once
   (:func:`decode_program`) and table dispatch over pre-decoded tuples;
@@ -12,7 +12,6 @@ Two interchangeable execution paths live here:
   interpreter loop as the fallback for cold/irregular code and observers.
 """
 
-from .batched import BatchedMachine, numpy_available, run_batched
 from .decoder import DecodedProgram, decode_program
 from .machine import EmulationError, Machine, run_program
 from .reference import ReferenceMachine, run_program_reference
@@ -22,9 +21,9 @@ from .translate import (
 )
 from .trace import PAGE_SIZE, TraceStats
 
-__all__ = ["BatchedMachine", "DecodedProgram", "decode_program",
+__all__ = ["DecodedProgram", "decode_program",
            "EmulationError", "Machine", "ReferenceMachine",
-           "TranslatedMachine", "TranslationCache", "numpy_available",
-           "run_batched", "run_program", "run_program_reference",
+           "TranslatedMachine", "TranslationCache",
+           "run_program", "run_program_reference",
            "run_program_translated", "translation_cache",
            "PAGE_SIZE", "TraceStats"]

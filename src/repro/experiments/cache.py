@@ -4,15 +4,17 @@ A :class:`~repro.experiments.runner.Measurement` is a pure function of
 
 * the benchmark's source text (plus its declared args/inputs/expected output),
 * the optimization profile's pass list, :class:`~repro.passes.PassConfig`
-  knobs and backend :class:`~repro.backend.cost_model.TargetCostModel`, and
+  knobs and backend :class:`~repro.backend.cost_model.TargetCostModel`,
 * the analytic cost models (RISC Zero, SP1, the x86 CPU model) together with
-  the emulator's instruction budget.
+  the emulator's instruction budget, and
+* the code that computes it: every ``.py`` source of the ``repro`` package.
 
 :func:`measurement_fingerprint` hashes exactly those ingredients, so the cache
 key is independent of the profile's *name*: an autotuner candidate that
 rediscovers the ``-O2`` pass list hits the cache entry the level sweep already
 paid for, while any change to a threshold, a model parameter or a benchmark
-source invalidates only the affected entries.
+source invalidates only the affected entries, and any edit to the compiler,
+emulator or models invalidates them all.
 
 Entries are pickled ``(schema_version, Measurement)`` envelopes stored under
 ``<root>/<2-hex-shard>/<sha256>.pkl``.  Writes are atomic (temp file +
@@ -60,14 +62,33 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "measurements"
 
 
+#: Root of the ``repro`` package, whose sources :func:`_source_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _source_digest() -> str:
+    """sha256 over every ``.py`` file of the ``repro`` package, path-sorted.
+
+    Folded into every fingerprint, so a cached measurement never outlives
+    the compiler, emulator or cost-model code that produced it.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(_PACKAGE_ROOT.rglob("*.py")):
+        digest.update(path.relative_to(_PACKAGE_ROOT).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 @lru_cache(maxsize=1)
 def _environment_blob() -> str:
-    """Serialized cost-model environment (constant for a process lifetime)."""
+    """Serialized code and cost-model environment (constant per process)."""
     return json.dumps({
         "schema": CACHE_SCHEMA_VERSION,
         "cost_model_version": COST_MODEL_VERSION,
         "zkvms": {name: repr(model) for name, model in sorted(ZKVMS.items())},
         "cpu": repr(DEFAULT_CPU),
+        "sources": _source_digest(),
     }, sort_keys=True)
 
 
@@ -98,23 +119,19 @@ def profile_recipe(profile: "Profile") -> dict:
 
 def measurement_fingerprint(benchmark: "Benchmark", profile: "Profile",
                             max_instructions: int, verify: bool = False,
-                            seed_backend: bool = False,
                             translate: bool = False) -> str:
     """Content hash identifying one measurement.
 
-    Every ingredient that can change the resulting numbers is included —
-    the ``seed_backend`` escape hatch among them, since the seed and
-    optimizing backends emit different code; the profile's display name
-    deliberately is *not*, so identically configured profiles share one
-    entry.  The environment and benchmark components are memoized — per call
-    only the (small) profile recipe is serialized — so cache probes stay
-    cheap on regenerator hot paths.
+    Every ingredient that can change the resulting numbers is included; the
+    profile's display name deliberately is *not*, so identically configured
+    profiles share one entry.  The environment and benchmark components are
+    memoized — per call only the (small) profile recipe is serialized — so
+    cache probes stay cheap on regenerator hot paths.
     """
     recipe = {
         **profile_recipe(profile),
         "max_instructions": max_instructions,
         "verify": verify,
-        "backend": "seed" if seed_backend else "opt",
     }
     if translate:
         # Translated measurements carry no CPU-model metrics (the timing

@@ -65,22 +65,21 @@ def _compute_measurement_job(job) -> Measurement:
     """Pool worker entry point: compute one measurement from scratch.
 
     ``job`` is ``(benchmark_name, profile, max_instructions, verify,
-    program_cache_size, analysis_cache, seed_backend, translate)``.  Runs in
-    a separate process; the only state shared with the parent is the
-    picklable job tuple and the returned :class:`Measurement`.
+    program_cache_size, analysis_cache, translate)``.  Runs in a separate
+    process; the only state shared with the parent is the picklable job
+    tuple and the returned :class:`Measurement`.
     """
     (benchmark_name, profile, max_instructions, verify,
-     program_cache_size, analysis_cache, seed_backend, translate) = job
+     program_cache_size, analysis_cache, translate) = job
     fault_point("measure-job", f"{benchmark_name}/{profile.name}")
     key = (max_instructions, verify, program_cache_size, analysis_cache,
-           seed_backend, translate)
+           translate)
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
         runner = _WORKER_RUNNERS[key] = BenchmarkRunner(
             max_instructions=max_instructions, verify=verify,
             program_cache_size=program_cache_size,
-            analysis_cache=analysis_cache, seed_backend=seed_backend,
-            translate=translate)
+            analysis_cache=analysis_cache, translate=translate)
     return runner.measure(benchmark_name, profile, use_cache=False)
 
 
@@ -165,14 +164,12 @@ class ExperimentEngine(BenchmarkRunner):
                  use_disk_cache: bool = True,
                  parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                  program_cache_size: int = DEFAULT_PROGRAM_CACHE_SIZE,
-                 analysis_cache: bool = True, seed_backend: bool = False,
-                 translate: bool = False,
+                 analysis_cache: bool = True, translate: bool = False,
                  job_timeout: Optional[float] = None,
                  retry_policy: Optional[RetryPolicy] = None):
         super().__init__(max_instructions=max_instructions, verify=verify,
                          program_cache_size=program_cache_size,
-                         analysis_cache=analysis_cache,
-                         seed_backend=seed_backend, translate=translate)
+                         analysis_cache=analysis_cache, translate=translate)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if cache is None and use_disk_cache:
             cache = MeasurementCache(cache_dir)
@@ -195,7 +192,7 @@ class ExperimentEngine(BenchmarkRunner):
 
         return measurement_fingerprint(get_benchmark(benchmark_name), profile,
                                        self.max_instructions, self.verify,
-                                       self.seed_backend, self.translate)
+                                       self.translate)
 
     def _lookup(self, key: str) -> Optional[Measurement]:
         """Memory-then-disk cache probe; promotes disk hits into memory."""
@@ -297,7 +294,7 @@ class ExperimentEngine(BenchmarkRunner):
                 jobs.append((benchmark_name, profile,
                              self.max_instructions, self.verify,
                              self.program_cache_size, self.analysis_cache,
-                             self.seed_backend, self.translate))
+                             self.translate))
                 labels.append(f"{benchmark_name}/{profile.name}")
             for key, outcome in zip(keys, self._compute_batch(jobs, labels)):
                 if isinstance(outcome, JobFailure):

@@ -100,22 +100,17 @@ def warm_matrix(runner: "BenchmarkRunner", benchmarks: list[str],
 DEFAULT_PROGRAM_CACHE_SIZE = 128
 
 
-def _program_key(benchmark_name: str, profile: Profile,
-                 seed_backend: bool = False) -> str:
+def _program_key(benchmark_name: str, profile: Profile) -> str:
     """Content key for a compiled program: everything that shapes the code.
 
     Keyed by the profile's *recipe* (passes, config, cost model — shared with
     :func:`~repro.experiments.cache.measurement_fingerprint`), not its display
     name, so content-equal profiles (an autotuner candidate that rediscovers
-    ``-O2``) share one compiled+decoded program.  The backend choice
-    (optimizing vs the preserved seed backend) shapes the code too, so it is
-    part of the key.
+    ``-O2``) share one compiled+decoded program.
     """
     from .cache import profile_recipe
 
-    return json.dumps({"benchmark": benchmark_name,
-                       "backend": "seed" if seed_backend else "opt",
-                       **profile_recipe(profile)},
+    return json.dumps({"benchmark": benchmark_name, **profile_recipe(profile)},
                       sort_keys=True, default=repr)
 
 
@@ -130,18 +125,13 @@ class BenchmarkRunner:
 
     def __init__(self, max_instructions: int = 20_000_000, verify: bool = False,
                  program_cache_size: int = DEFAULT_PROGRAM_CACHE_SIZE,
-                 analysis_cache: bool = True, seed_backend: bool = False,
-                 translate: bool = False):
+                 analysis_cache: bool = True, translate: bool = False):
         self.max_instructions = max_instructions
         self.verify = verify
         self.program_cache_size = program_cache_size
         #: False routes every compile through the ``--no-analysis-cache``
         #: escape hatch (the seed-semantics recompute-everything pipeline).
         self.analysis_cache = analysis_cache
-        #: True compiles through the preserved seed backend
-        #: (``--seed-backend``) instead of the optimizing one — the A/B knob
-        #: behind ``make bench-backend`` and the backend differential suite.
-        self.seed_backend = seed_backend
         #: True replays guest programs through the superblock-translating
         #: :class:`~repro.emulator.translate.TranslatedMachine` — same
         #: TraceStats/paging byte-for-byte, several times faster — at the
@@ -175,7 +165,7 @@ class BenchmarkRunner:
         never mutates the program (machines copy ``globals_init``), so the
         shared object is safe across runs.
         """
-        key = _program_key(benchmark_name, profile, self.seed_backend)
+        key = _program_key(benchmark_name, profile)
         if use_cache:
             program = self._program_cache.get(key)
             if program is not None:
@@ -186,8 +176,7 @@ class BenchmarkRunner:
                         analysis_cache=self.analysis_cache).run(module)
         if self.verify:
             verify_module(module)
-        program = compile_module(module, profile.cost_model,
-                                 seed_backend=self.seed_backend)
+        program = compile_module(module, profile.cost_model)
         if use_cache and self.program_cache_size > 0:
             while len(self._program_cache) >= self.program_cache_size:
                 self._program_cache.pop(next(iter(self._program_cache)))
@@ -248,54 +237,6 @@ class BenchmarkRunner:
         if use_cache:
             self._measure_cache[key] = measurement
         return measurement
-
-    def run_batched(self, benchmark_name: str, profile: Profile,
-                    num_lanes: Optional[int] = None,
-                    lane_args: Optional[list] = None,
-                    lane_inputs: Optional[list] = None,
-                    check_output: bool = True) -> list[TraceStats]:
-        """Replay one compiled benchmark across N lockstep emulator lanes.
-
-        This is the batch execution path for consumers that replay the *same
-        program* many times — autotuner generations re-measuring one
-        candidate's benchmark set, fuzz shards replaying a corpus, input
-        sweeps.  ``lane_args`` / ``lane_inputs`` give each lane its own
-        argument vector / input stream (the lane count is inferred from
-        either); with neither, ``num_lanes`` identical replays of the
-        registered benchmark run.  Returns one TraceStats per lane, each
-        identical to what a single-stream :meth:`measure` emulation of that
-        lane would record.  The engine subclass inherits this unchanged:
-        batched lanes share one process and one decoded program by design.
-        """
-        from ..benchmarks import get_benchmark
-        from ..emulator import BatchedMachine
-
-        benchmark = get_benchmark(benchmark_name)
-        program = self.compile(benchmark_name, profile)
-        if num_lanes is None:
-            if lane_args is not None:
-                num_lanes = len(lane_args)
-            elif lane_inputs is not None:
-                num_lanes = len(lane_inputs)
-            else:
-                raise ValueError(
-                    "num_lanes is required without lane_args/lane_inputs")
-        machine = BatchedMachine(
-            program, num_lanes, max_instructions=self.max_instructions,
-            input_values=benchmark.inputs if lane_inputs is None else None,
-            lane_inputs=lane_inputs)
-        stats = machine.run(
-            "main", args=benchmark.args if lane_args is None else None,
-            lane_args=lane_args)
-        if check_output and lane_args is None and lane_inputs is None and \
-                benchmark.expected_output is not None:
-            for lane, trace in enumerate(stats):
-                if trace.output != benchmark.expected_output:
-                    raise AssertionError(
-                        f"{benchmark_name} under {profile.name}: lane {lane} "
-                        f"output {trace.output} does not match expected "
-                        f"{benchmark.expected_output}")
-        return stats
 
     def measure_pairs(self, pairs: list[tuple[str, Profile]],
                       use_cache: bool = True,

@@ -5,7 +5,7 @@ The subsystem has four parts, used together by ``python -m repro fuzz``:
 * :mod:`~repro.fuzz.genprog` — seeded, typed AST sampler that always yields
   terminating, UB-free MiniC programs with a deterministic printed checksum;
 * :mod:`~repro.fuzz.harness` — per-program differential stack across the IR
-  interpreter, both backends, both emulators and the pass pipeline, under
+  interpreter, the pass pipeline, the backend and all three emulators, under
   both paper profiles;
 * :mod:`~repro.fuzz.minimize` — delta-debugging AST reducer that shrinks a
   mismatch to a minimal reproducer failing at the same stage;

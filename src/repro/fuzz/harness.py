@@ -18,12 +18,13 @@ diverges is reported:
 ``passes``
     the optimized module's IR-interpreter behaviour differs from the
     unoptimized module's (a semantic miscompile inside the pass pipeline);
-``backend-seed`` / ``backend-opt``
-    the named backend's compiled guest, replayed on the fast emulator,
-    disagrees with the IR interpreter;
+``backend``
+    the backend crashed, or its compiled guest, replayed on the fast
+    emulator, disagrees with the IR interpreter;
 ``emulator``
-    the fast table-dispatch emulator and the seed reference interpreter
-    disagree on outputs, memory or :class:`TraceStats` for the same guest.
+    the fast table-dispatch emulator or the superblock translator disagrees
+    with the reference interpreter on outputs, memory or
+    :class:`TraceStats` for the same guest.
 
 Every check runs under **both** paper profiles (``-O3`` and the zkVM-aware
 ``-O3-zkvm``), so the cost-model-specific backend paths are both exercised.
@@ -51,7 +52,7 @@ from ..passes import PassManager, PassPipelineError
 
 #: Every bucket the harness can report, in pipeline order.
 STAGES = ("frontend", "step-limit", "interp", "pipeline", "passes",
-          "backend-seed", "backend-opt", "emulator")
+          "backend", "emulator")
 
 #: Default profile names the harness compiles under.
 DEFAULT_PROFILES = ("-O3", "-O3-zkvm")
@@ -240,36 +241,28 @@ def run_differential(source: str,
                 detail=_divergence(expected, _behaviour(optimized)),
                 interp_steps=steps)
 
-        # Stage 5: both backends' guests must reproduce the IR behaviour.
-        for backend_stage, seed_backend in (("backend-seed", True),
-                                            ("backend-opt", False)):
-            try:
-                program = compile_module(cached, profile.cost_model,
-                                         seed_backend=seed_backend)
-                machine, stats = _replay(program, "main", Machine, emu_budget)
-            except Exception as exc:  # noqa: BLE001 - compile/replay crash
-                return DifferentialReport(ok=False, stage=backend_stage,
-                                          profile=name, detail=str(exc),
-                                          interp_steps=steps)
-            behaviour = (tuple(machine.output), stats.return_value)
-            if behaviour != expected:
-                return DifferentialReport(
-                    ok=False, stage=backend_stage, profile=name,
-                    detail=_divergence(expected, behaviour),
-                    interp_steps=steps)
-            if not seed_backend:
-                opt_program = program  # reused by the emulator stage below
-
-        # Stage 6: fast and translated emulators vs the reference
-        # interpreter on the optimizing backend's guest — a three-way
-        # oracle, so the superblock engine earns differential coverage from
-        # every fuzz campaign.
+        # Stage 5: the backend's guest must reproduce the IR behaviour.
         try:
-            fast, fast_stats = _replay(opt_program, "main", Machine, emu_budget)
-            ref, ref_stats = _replay(opt_program, "main", ReferenceMachine,
+            program = compile_module(cached, profile.cost_model)
+            fast, fast_stats = _replay(program, "main", Machine, emu_budget)
+        except Exception as exc:  # noqa: BLE001 - compile/replay crash
+            return DifferentialReport(ok=False, stage="backend", profile=name,
+                                      detail=str(exc), interp_steps=steps)
+        behaviour = (tuple(fast.output), fast_stats.return_value)
+        if behaviour != expected:
+            return DifferentialReport(
+                ok=False, stage="backend", profile=name,
+                detail=_divergence(expected, behaviour), interp_steps=steps)
+
+        # Stage 6: stage 5's fast run and the translated engine vs the
+        # reference interpreter on the same guest — a three-way oracle, so
+        # the superblock engine earns differential coverage from every fuzz
+        # campaign.
+        try:
+            ref, ref_stats = _replay(program, "main", ReferenceMachine,
                                      emu_budget)
-            trans, trans_stats = _replay(opt_program, "main",
-                                         TranslatedMachine, emu_budget)
+            trans, trans_stats = _replay(program, "main", TranslatedMachine,
+                                         emu_budget)
         except Exception as exc:  # noqa: BLE001
             return DifferentialReport(ok=False, stage="emulator", profile=name,
                                       detail=str(exc), interp_steps=steps)

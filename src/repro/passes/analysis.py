@@ -121,20 +121,11 @@ class AnalysisManager:
     verify:
         Debug mode: recompute each analysis on every cache hit and raise
         :class:`StaleAnalysisError` if the cached result no longer matches.
-    seed_baseline:
-        Benchmarking mode (implies ``enabled=False``): serve every request
-        from the preserved seed implementations in
-        :mod:`repro.passes.seed_analysis`, reproducing the seed pass
-        manager's analysis cost model exactly.  Not byte-deterministic (the
-        seed's loops iterate address-ordered sets) — never use it as a
-        differential oracle.
     """
 
-    def __init__(self, enabled: bool = True, verify: bool = False,
-                 seed_baseline: bool = False):
-        self.enabled = enabled and not seed_baseline
+    def __init__(self, enabled: bool = True, verify: bool = False):
+        self.enabled = enabled
         self.verify = verify
-        self.seed_baseline = seed_baseline
         self.stats = AnalysisStats()
         # function -> analysis name -> (cfg_version at computation, result)
         self._cache: dict[Function, dict[str, tuple[int, object]]] = {}
@@ -156,8 +147,6 @@ class AnalysisManager:
 
     # -- core ---------------------------------------------------------------
     def _compute(self, name: str, function: Function):
-        if self.seed_baseline:
-            return self._compute_seed(name, function)
         if name == DOMTREE:
             return DominatorTree(function)
         if name == LOOPS:
@@ -168,20 +157,6 @@ class AnalysisManager:
             return dominance_frontiers(function, self.get(DOMTREE, function))
         if name == REACHABLE:
             return reachable_blocks(function)
-        raise KeyError(f"unknown analysis: {name}")
-
-    def _compute_seed(self, name: str, function: Function):
-        """Serve a request from the preserved seed implementations."""
-        from . import seed_analysis as seed
-
-        if name == DOMTREE:
-            return seed.SeedDominatorTree(function)
-        if name == LOOPS:
-            return seed.SeedLoopInfo(function)
-        if name == FRONTIERS:
-            return seed.seed_dominance_frontiers(function)
-        if name == REACHABLE:
-            return seed.seed_reachable_blocks(function)
         raise KeyError(f"unknown analysis: {name}")
 
     def get(self, name: str, function: Function):

@@ -248,27 +248,19 @@ class PassManager:
         recomputation on each hit and after each pass.
     verify_each:
         Run the IR verifier after every pass.
-    seed_baseline:
-        Benchmarking mode: like ``analysis_cache=False`` but additionally
-        serving every analysis request from the preserved seed
-        implementations (:mod:`repro.passes.seed_analysis`), reproducing the
-        seed pass manager's full cost model.  Not byte-deterministic.
     """
 
     def __init__(self, passes: Iterable[str | Pass] = (),
                  config: Optional[PassConfig] = None,
                  verify_each: bool = False,
                  analysis_cache: bool = True,
-                 verify_analyses: bool = False,
-                 seed_baseline: bool = False):
+                 verify_analyses: bool = False):
         self.config = config or PassConfig()
         self.verify_each = verify_each
-        self.analysis_cache = analysis_cache and not seed_baseline
+        self.analysis_cache = analysis_cache
         self.verify_analyses = verify_analyses
-        self.seed_baseline = seed_baseline
-        self.analysis = AnalysisManager(enabled=self.analysis_cache,
-                                        verify=verify_analyses,
-                                        seed_baseline=seed_baseline)
+        self.analysis = AnalysisManager(enabled=analysis_cache,
+                                        verify=verify_analyses)
         #: Per-slot wall time and cache activity of the most recent run.
         self.timings: list[PassTiming] = []
         self.passes: list[Pass] = []
@@ -283,11 +275,6 @@ class PassManager:
 
     def run(self, module: Module) -> bool:
         """Run all passes in order.  Returns True if any pass changed the IR."""
-        if self.seed_baseline:
-            from .seed_analysis import seed_substrate
-
-            with cfg_cache_disabled(), seed_substrate():
-                return self._run(module)
         if self.analysis_cache:
             return self._run(module)
         with cfg_cache_disabled():

@@ -1,98 +1,59 @@
-"""Cross-engine parametrization helpers for guest-execution tests.
+"""Cross-engine helpers for guest-execution tests.
 
-The repo now has four ways to execute one guest program — the readable
-reference interpreter, the decoded fast interpreter, the numpy batched
-lane machine and the superblock translator — and every differential
-battery wants to run against all of them.  This module gives them one
-uniform surface:
+The repo has three ways to execute one guest program — the readable
+reference interpreter, the decoded fast interpreter and the superblock
+translator — and every differential battery wants to run against all of
+them.  This module gives them one uniform surface:
 
-* :func:`engine_params` produces the ``pytest.param`` list (with the
-  numpy skip attached to the batched engine) for
-  ``@pytest.mark.parametrize("engine", engine_params())``.
 * :func:`run_engine` constructs the right machine for an engine name,
-  runs it, and normalizes the outcome into an :class:`EngineRun` —
-  stats, paging events, output, memory and any fault — so assertions
-  read identically whether the engine is a scalar machine or a lane of
-  the batched machine.
+  runs it, and captures the outcome as an :class:`EngineRun` — stats,
+  paging events, output, memory and any fault.
 * :func:`assert_runs_identical` is the shared "this engine matched the
   reference" check.
 
-Adding a new engine here (one ``ENGINE_NAMES`` entry plus a
-``run_engine`` branch) makes it inherit the whole differential battery
-in ``test_emulator_differential.py`` and the translated property suite.
+Adding a new engine here (one ``ENGINES`` entry) makes it inherit the
+whole differential battery in ``test_emulator_differential.py`` and the
+translated property suite.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import pytest
-
 from repro.emulator import (
-    BatchedMachine,
     EmulationError,
     Machine,
     ReferenceMachine,
     TranslatedMachine,
-    numpy_available,
 )
 
-#: Every guest-execution engine, in reference-first order.
-ENGINE_NAMES = ("reference", "fast", "batched", "translated")
-
-#: The engines differential tests compare *against* the reference.
-DIFF_ENGINE_NAMES = ("fast", "batched", "translated")
-
-#: Engines that share the scalar ``Machine`` interface (observers,
-#: ``get()``, a plain ``memory`` dict).  The batched machine exposes its
-#: lanes through dedicated accessors instead.
-SCALAR_ENGINES = {
+#: Every guest-execution engine, reference first.
+ENGINES = {
     "reference": ReferenceMachine,
     "fast": Machine,
     "translated": TranslatedMachine,
 }
 
-
-def engine_params(names: Sequence[str] = ENGINE_NAMES) -> list:
-    """``pytest.param`` list for ``names``, numpy-skipping the batched engine."""
-    params = []
-    for name in names:
-        marks = ()
-        if name == "batched" and not numpy_available():
-            marks = pytest.mark.skip(reason="numpy not installed")
-        params.append(pytest.param(name, marks=marks))
-    return params
+#: The engines differential tests compare *against* the reference.
+DIFF_ENGINE_NAMES = tuple(name for name in ENGINES if name != "reference")
 
 
 class EngineRun:
-    """Normalized outcome of running one program on one engine.
+    """Outcome of running one program on one engine.
 
     ``error`` is the :class:`EmulationError` the run faulted with, or
     None for a clean halt; ``stats`` is the (possibly partial, on a
     fault) folded :class:`TraceStats` either way.
     """
 
-    def __init__(self, engine: str, machine, stats, page_in_events: int,
-                 page_out_events: int, output: list,
-                 error: Optional[BaseException]):
+    def __init__(self, engine: str, machine, error: Optional[BaseException]):
         self.engine = engine
         self.machine = machine
-        self.stats = stats
-        self.page_in_events = page_in_events
-        self.page_out_events = page_out_events
-        self.output = output
+        self.stats = machine.stats
+        self.page_in_events = machine.page_in_events
+        self.page_out_events = machine.page_out_events
+        self.output = list(machine.output)
         self.error = error
-
-    def memory_matches(self, memory: dict) -> bool:
-        """True iff this run's final memory equals a scalar machine's dict.
-
-        Scalar engines share the dict representation, so equality is
-        direct; a batched lane only distinguishes nonzero words, so it
-        compares as a value function via ``lane_memory_matches``.
-        """
-        if self.engine == "batched":
-            return self.machine.lane_memory_matches(0, memory)
-        return self.machine.memory == memory
 
 
 def run_engine(engine: str, program, entry: str = "main",
@@ -102,22 +63,7 @@ def run_engine(engine: str, program, entry: str = "main",
                max_instructions: int = 50_000_000,
                observers: Sequence = ()) -> EngineRun:
     """Run ``program`` on the named engine, capturing faults instead of raising."""
-    if engine == "batched":
-        if observers:
-            raise ValueError("the batched engine does not support observers")
-        machine = BatchedMachine(
-            program, 1, max_instructions=max_instructions,
-            segment_size=segment_size,
-            input_values=list(input_values) if input_values is not None else None,
-            capture_faults=True)
-        machine.run(entry, args=args)
-        stats = machine.lane_stats[0]
-        return EngineRun(engine, machine, stats,
-                         machine.lane_page_in_events[0],
-                         machine.lane_page_out_events[0],
-                         list(stats.output), machine.lane_errors[0])
-    machine_cls = SCALAR_ENGINES[engine]
-    machine = machine_cls(
+    machine = ENGINES[engine](
         program, max_instructions=max_instructions, observers=observers,
         segment_size=segment_size,
         input_values=list(input_values) if input_values is not None else None)
@@ -126,8 +72,7 @@ def run_engine(engine: str, program, entry: str = "main",
         machine.run(entry, args)
     except EmulationError as exc:
         error = exc
-    return EngineRun(engine, machine, machine.stats, machine.page_in_events,
-                     machine.page_out_events, list(machine.output), error)
+    return EngineRun(engine, machine, error)
 
 
 def assert_runs_identical(run: EngineRun, reference: EngineRun,
@@ -148,6 +93,5 @@ def assert_runs_identical(run: EngineRun, reference: EngineRun,
         f"{run.engine} page-in events diverged{where}")
     assert run.page_out_events == reference.page_out_events, (
         f"{run.engine} page-out events diverged{where}")
-    if reference.engine in SCALAR_ENGINES:
-        assert run.memory_matches(reference.machine.memory), (
-            f"{run.engine} final memory diverged{where}")
+    assert run.machine.memory == reference.machine.memory, (
+        f"{run.engine} final memory diverged{where}")

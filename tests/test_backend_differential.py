@@ -2,18 +2,17 @@
 invisible.
 
 For every seed benchmark and both paper profiles (the CPU-tuned ``-O3`` and
-the zkVM-aware ``-O3-zkvm``), the optimized IR is lowered twice — once by the
-optimizing backend (:func:`repro.backend.compile_module`: immediate folding,
-loop-invariant hoisting, peephole, hole-aware allocation), once by the
-preserved seed backend (``--seed-backend``,
-:mod:`repro.backend.seed_lowering`).  Both programs must produce identical
-guest outputs and return values, and the optimizing backend's ``TraceStats``
-must stay internally consistent (the accounting identities the cost models
-rely on) — the dynamic instruction mix itself is *expected* to differ: the
-overhaul exists to shrink it.
+the zkVM-aware ``-O3-zkvm``), the optimized IR is lowered by
+:func:`repro.backend.compile_module` (immediate folding, loop-invariant
+hoisting, peephole, hole-aware allocation) and replayed on the emulator.  The
+guest must reproduce the output and return value of the IR interpreter on the
+*unoptimized* module — the independent oracle for compiled guest behaviour —
+and its ``TraceStats`` must stay internally consistent (the accounting
+identities the cost models rely on).
 
-``benchmarks/bench_backend.py`` (``make bench-backend``) enforces how much it
-shrinks; this suite proves behaviour is untouched.
+``benchmarks/bench_backend.py`` (``make bench-backend``) holds the code-size
+and cycle counts against the committed ``BENCH_backend.json``; this suite
+proves behaviour is untouched.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro.backend.isa import OPCODE_CLASS
 from repro.benchmarks import all_benchmark_names, get_benchmark
 from repro.emulator import Machine
 from repro.frontend import compile_source
+from repro.ir.interpreter import run_module
 from repro.passes import PassManager
 from repro.experiments.profiles import profile_by_name, zkvm_aware_profile
 
@@ -53,31 +53,22 @@ def _assert_consistent(stats, context: str) -> None:
 @pytest.mark.parametrize("benchmark_name", all_benchmark_names())
 def test_optimizing_backend_preserves_guest_behaviour(benchmark_name):
     benchmark = get_benchmark(benchmark_name)
+    assert not benchmark.inputs, "the IR interpreter cannot supply host inputs"
+    unoptimized = compile_source(benchmark.source, module_name=benchmark_name)
+    expected = run_module(unoptimized, "main", benchmark.args)
     for profile in _profiles():
-        module = compile_source(benchmark.source, module_name=benchmark_name)
+        module = unoptimized.clone()
         if profile.passes:
             PassManager(profile.passes, profile.config).run(module)
-
-        seed_program = compile_module(module, profile.cost_model,
-                                      seed_backend=True)
-        opt_program = compile_module(module, profile.cost_model)
+        program = compile_module(module, profile.cost_model)
 
         context = f"{benchmark_name} under {profile.name}"
-        seed_stats, _ = _replay(seed_program, benchmark)
-        opt_stats, _ = _replay(opt_program, benchmark)
-
-        assert opt_stats.output == seed_stats.output, \
+        stats, _ = _replay(program, benchmark)
+        assert stats.output == expected.output, \
             f"guest outputs diverged for {context}"
-        assert opt_stats.return_value == seed_stats.return_value, \
+        assert stats.return_value == expected.return_value, \
             f"return values diverged for {context}"
-        _assert_consistent(opt_stats, context)
-        # The overhaul's reason to exist: programs must not grow.  A small
-        # slack covers machine-level edge blocks and spill placement on the
-        # handful of register-pressure-bound kernels (e.g. deriche); the
-        # dynamic win is what bench_backend.py enforces.
-        assert opt_program.total_static_instructions() <= \
-            1.1 * seed_program.total_static_instructions(), \
-            f"optimizing backend emitted much more code for {context}"
+        _assert_consistent(stats, context)
 
 
 @pytest.mark.parametrize("benchmark_name",

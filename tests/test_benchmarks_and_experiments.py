@@ -98,15 +98,10 @@ class TestRunner:
     def test_gain_is_positive_for_o2_on_loop_heavy_code(self, runner):
         # The optimizing backend narrows baseline-relative gains (it cleans
         # up much of the unoptimized code's redundancy at the machine level,
-        # e.g. store-to-load forwarding through allocas), so the margin is
-        # smaller than under the seed backend — but IR optimization must
-        # still win on loop-heavy code.
+        # e.g. store-to-load forwarding through allocas), but IR optimization
+        # must still win on loop-heavy code.
         gain = runner.gain("loop-sum", profile_by_name("-O2"), "risc0", "execution_time")
         assert gain > 0.0
-        # Against the preserved seed backend the seed-era margin still holds.
-        seed_runner = BenchmarkRunner(seed_backend=True)
-        assert seed_runner.gain("loop-sum", profile_by_name("-O2"),
-                                "risc0", "execution_time") > 10.0
 
     def test_percent_change_sign_convention(self):
         assert percent_change(100, 50) == 50.0      # faster -> positive gain

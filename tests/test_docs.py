@@ -60,7 +60,7 @@ def test_markdown_links_resolve(doc):
             continue
         # Markdown links and pathed references resolve relative to the doc,
         # the repo root, or as a path suffix anywhere in the tree (docs say
-        # `backend/seed_lowering.py` for src/repro/backend/seed_lowering.py).
+        # `backend/lowering.py` for src/repro/backend/lowering.py).
         if (doc.parent / target).exists() or (REPO_ROOT / target).exists():
             continue
         if "/" in target:

@@ -3,23 +3,20 @@
 The production :class:`~repro.emulator.machine.Machine` replays guests through
 a decode-once, table-dispatch pipeline; the original per-instruction
 interpreter survives as :class:`~repro.emulator.reference.ReferenceMachine`;
-the batched machine runs lanes of guests over numpy and the superblock
-translator compiles hot regions to Python closures.  These tests parametrize
-over the shared engine helpers in ``tests/engines.py`` so every engine —
-current and future — is held to *identical* trace statistics, outputs, paging
-events, fault behavior and (for scalar engines) observer event streams,
-across every seed benchmark and an opcode-coverage microprogram that executes
-every implemented ALU, branch, jump, memory and ecall opcode at least once.
+the superblock translator compiles hot regions to Python closures.  These
+tests parametrize over the shared engine helpers in ``tests/engines.py`` so
+every engine — current and future — is held to *identical* trace statistics,
+outputs, paging events, final memory, fault behavior and observer event
+streams, across every seed benchmark and an opcode-coverage microprogram that
+executes every implemented ALU, branch, jump, memory and ecall opcode at
+least once.
 """
 
 from functools import lru_cache
 
 import pytest
 
-from engines import (
-    DIFF_ENGINE_NAMES, SCALAR_ENGINES, assert_runs_identical, engine_params,
-    run_engine,
-)
+from engines import DIFF_ENGINE_NAMES, ENGINES, assert_runs_identical, run_engine
 from repro.backend import compile_module
 from repro.backend.isa import (
     AssemblyFunction, AssemblyProgram, Label, MachineInstr,
@@ -32,11 +29,6 @@ from repro.emulator import (
 )
 from repro.emulator.decoder import ALU_IMM_IMPLS, _ALU_IMM_DECODED
 from repro.frontend import compile_source
-
-#: The engines that share the scalar observer/``get()`` interface, i.e. every
-#: differential engine except the batched lane machine.
-SCALAR_DIFF = tuple(n for n in DIFF_ENGINE_NAMES if n in SCALAR_ENGINES)
-
 
 class RecordingObserver:
     """Captures the full per-instruction event stream."""
@@ -237,19 +229,19 @@ class TestMicroprogram:
         missing = IMPLEMENTED_OPCODES - executed
         assert not missing, f"microprogram never executed: {sorted(missing)}"
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_every_engine_matches_reference(self, engine):
         program = microprogram()
         ref = run_engine("reference", program, input_values=[77])
         run = run_engine(engine, program, input_values=[77])
         assert_runs_identical(run, ref, "on the microprogram")
 
-    @pytest.mark.parametrize("engine", SCALAR_DIFF)
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_observed_run_identical_to_reference(self, engine):
         program = microprogram()
         ref, ref_events = _run_events(ReferenceMachine, program,
                                       input_values=[77])
-        machine, events = _run_events(SCALAR_ENGINES[engine], program,
+        machine, events = _run_events(ENGINES[engine], program,
                                       input_values=[77])
         _assert_machines_identical(machine, ref,
                                    f"on the observed microprogram ({engine})")
@@ -262,7 +254,7 @@ class TestMicroprogram:
 
 
 class TestSeedBenchmarksDifferential:
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     @pytest.mark.parametrize("name", all_benchmark_names())
     def test_trace_stats_identical(self, name, engine):
         benchmark = get_benchmark(name)
@@ -272,7 +264,7 @@ class TestSeedBenchmarksDifferential:
         assert_runs_identical(run, ref, f"on benchmark {name}")
         assert run.stats.summary() == ref.stats.summary()
 
-    @pytest.mark.parametrize("engine", SCALAR_DIFF)
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     @pytest.mark.parametrize("name", ["fibonacci", "loop-sum", "factorial",
                                       "tailcall"])
     def test_observer_event_streams_identical(self, name, engine):
@@ -280,18 +272,18 @@ class TestSeedBenchmarksDifferential:
         program = _compile_benchmark(name)
         _, ref_events = _run_events(ReferenceMachine, program,
                                     input_values=benchmark.inputs)
-        _, events = _run_events(SCALAR_ENGINES[engine], program,
+        _, events = _run_events(ENGINES[engine], program,
                                 input_values=benchmark.inputs)
         assert events == ref_events, \
             f"event streams diverged on {name} ({engine})"
 
-    @pytest.mark.parametrize("engine", SCALAR_DIFF)
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_cpu_timing_model_identical(self, engine):
         from repro.cpu import CpuTimingModel
 
         program = _compile_benchmark("fibonacci")
         cpu, ref_cpu = CpuTimingModel(), CpuTimingModel()
-        SCALAR_ENGINES[engine](program, observers=[cpu]).run()
+        ENGINES[engine](program, observers=[cpu]).run()
         ReferenceMachine(program, observers=[ref_cpu]).run()
         assert cpu.finalize() == ref_cpu.finalize()
 
@@ -306,7 +298,7 @@ class TestSegmentPaging:
     }
     """
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     @pytest.mark.parametrize("segment_size", [7, 100, 999, 1 << 16])
     def test_partial_trailing_segment_pages_correctly(self, segment_size,
                                                       engine):
@@ -318,7 +310,7 @@ class TestSegmentPaging:
         assert_runs_identical(run, ref, f"segment_size={segment_size}")
         assert run.page_in_events > 0
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_segment_sizes_straddling_the_run_length(self, engine):
         """Sweep segment sizes pinned to the exact dynamic run length.
 
@@ -338,7 +330,7 @@ class TestSegmentPaging:
                 run, ref,
                 f"segment_size={segment_size} (run_length={run_length})")
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_exact_multiple_has_no_partial_trailing_segment(self, engine):
         """When the run length divides evenly, both machines must count the
         same number of segment flushes — no spurious trailing flush."""
@@ -352,7 +344,7 @@ class TestSegmentPaging:
             run = run_engine(engine, program, segment_size=size)
             assert_runs_identical(run, ref, f"segment_size={size}")
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_instruction_limit_parity(self, engine):
         program = _compile("fn main() -> int { while (1) { } return 0; }")
         ref = run_engine("reference", program, max_instructions=1000)
@@ -428,7 +420,7 @@ class TestMachineReuse:
 class TestUnresolvedTargets:
     """Faulting control transfers must leave identical partial traces."""
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     @pytest.mark.parametrize("body", [
         [_instr("li", "t0", 1), _instr("j", "nowhere")],
         [_instr("li", "t0", 1), _instr("call", "missing")],
@@ -444,11 +436,10 @@ class TestUnresolvedTargets:
         run = run_engine(engine, program)
         assert isinstance(run.error, EmulationError)
         assert_runs_identical(run, ref, "faulting control transfer")
-        if engine in SCALAR_ENGINES:
-            for name in ("t0", "t1", "ra"):
-                assert run.machine.get(name) == ref.machine.get(name), name
+        for name in ("t0", "t1", "ra"):
+            assert run.machine.get(name) == ref.machine.get(name), name
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_malformed_dead_code_does_not_fault_at_decode(self, engine):
         # The reference only inspects operands when an instruction executes;
         # a malformed instruction in a never-called helper must not break
@@ -486,7 +477,7 @@ class TestUnresolvedTargets:
         # Both counted the li and the faulting add before raising.
         assert fast.stats.instructions == ref.stats.instructions == 2
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_not_taken_branch_to_unknown_label_does_not_fault(self, engine):
         # The reference only resolves a branch label when the branch is
         # taken; a never-taken branch to a bogus label must run to completion.
@@ -547,7 +538,7 @@ class TestDecodePipeline:
                     assert apply(a, prepare(imm)) == raw(a, imm), \
                         f"{opcode}(a={a:#x}, imm={imm})"
 
-    @pytest.mark.parametrize("engine", engine_params(DIFF_ENGINE_NAMES))
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_unknown_register_names_get_fresh_slots(self, engine):
         # The reference treats any unknown name as a fresh zero register;
         # the decoder must intern such names instead of rejecting them.

@@ -2,15 +2,22 @@
 parallel/serial result equivalence, cache invalidation, and the CLI."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.benchmarks import get_benchmark
 from repro.experiments import (
     BenchmarkRunner, ExperimentEngine, MeasurementCache, baseline_profile,
     custom_profile, measurement_fingerprint, profile_by_name,
 )
+from repro.experiments import cache as cache_module
 from repro.experiments import figures
 from repro.passes import PassConfig
 
@@ -42,7 +49,7 @@ class TestFingerprint:
         assert measurement_fingerprint(benchmark, level, 1000) == \
             measurement_fingerprint(benchmark, renamed, 1000)
 
-    def test_sensitive_to_every_ingredient(self):
+    def test_sensitive_to_every_ingredient(self, monkeypatch):
         benchmark = get_benchmark("fibonacci")
         base = custom_profile("c", ["inline"], PassConfig())
         reference = measurement_fingerprint(benchmark, base, 1000)
@@ -65,6 +72,13 @@ class TestFingerprint:
             # different instruction budget
             measurement_fingerprint(benchmark, base, 2000),
         ]
+        # different compiler, emulator or cost-model sources
+        monkeypatch.setattr(cache_module, "_source_digest", lambda: "0" * 64)
+        cache_module._environment_blob.cache_clear()
+        try:
+            variants.append(measurement_fingerprint(benchmark, base, 1000))
+        finally:
+            cache_module._environment_blob.cache_clear()
         assert reference not in variants
         assert len(set(variants)) == len(variants)
 
@@ -95,6 +109,34 @@ class TestMeasurementCache:
         cache.put("d" * 64, measurement)
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_edited_compiler_source_misses_the_stored_entry(self, tmp_path):
+        # Measure from a copy of the package, edit the copy's backend so it
+        # skips the peephole pass, and measure again on the same cache.
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def measure():
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "--cache-dir",
+                 str(tmp_path / "cache"), "--workers", "1", "measure",
+                 "fibonacci", "--json"],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
+            return json.loads(done.stdout)[0]["instructions"], done.stderr
+
+        first, _ = measure()
+        cached, err = measure()
+        assert cached == first and "computed=0" in err
+        backend = package / "backend" / "__init__.py"
+        source = backend.read_text()
+        assert "peephole_hits = run_peephole(asm)" in source
+        backend.write_text(source.replace("peephole_hits = run_peephole(asm)",
+                                          "peephole_hits = {}"))
+        edited, err = measure()
+        assert "computed=1" in err, err
+        assert edited != first
 
 
 class TestEngine:
@@ -226,14 +268,6 @@ class TestCli:
     def test_unknown_inputs_fail_cleanly(self, tmp_path, capsys):
         assert self._run(tmp_path, "figure", "99") == 2
         assert self._run(tmp_path, "measure", "no-such-benchmark") == 2
-
-    @pytest.mark.parametrize("lanes", ["0", "-3"])
-    def test_run_batch_rejects_non_positive_lane_counts(self, tmp_path,
-                                                        capsys, lanes):
-        assert self._run(tmp_path, "run", "loop-sum", "--batch",
-                         "--lanes", lanes) == 2
-        err = capsys.readouterr().err
-        assert "--lanes must be a positive integer" in err, err
 
     def test_run_translate_smoke(self, tmp_path, capsys):
         assert self._run(tmp_path, "run", "loop-sum", "--translate") == 0

@@ -4,11 +4,15 @@ Planted-bug coverage: two deliberately evil passes are registered under
 ``fuzz-evil-*`` names and wrapped in synthetic profiles, proving the harness
 buckets a semantic miscompile as ``passes`` and verifier-breaking IR as
 ``pipeline`` (naming the guilty pass when ``verify_each_pass`` is on), and
-that the reducer shrinks such failures while preserving the stage.
+that the reducer shrinks such failures while preserving the stage.  A
+patched backend and two patched emulators prove the ``backend`` and
+``emulator`` buckets the same way.
 """
 
 import pytest
 
+from repro.backend import compile_module
+from repro.emulator import Machine, TranslatedMachine
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.profiles import Profile
 from repro.frontend import compile_source
@@ -17,6 +21,7 @@ from repro.fuzz import (
     load_corpus, minimize_source, parse_repro, run_campaign, run_differential,
     triage_failure, write_corpus,
 )
+from repro.fuzz import harness
 from repro.fuzz.triage import TriageSummary
 from repro.ir import BinaryOp
 from repro.ir.interpreter import InterpreterError, StepLimitExceeded, run_module
@@ -103,6 +108,21 @@ def _evil_profile(pass_name: str) -> Profile:
     return Profile(name=f"evil:{pass_name}", passes=(pass_name,), kind="custom")
 
 
+def _diverging(machine_cls):
+    """``machine_cls`` with one stray memory word written after every run.
+
+    Outputs and the return value are untouched, so only the emulator
+    stage's reference comparison can notice.
+    """
+    class Diverging(machine_cls):
+        def run(self, *args, **kwargs):
+            stats = super().run(*args, **kwargs)
+            self.memory[0x7FF0] = 0xBAD
+            return stats
+
+    return Diverging
+
+
 class TestStepLimitExceeded:
     """Satellite: the step-limit error reports function + executed steps."""
 
@@ -162,9 +182,30 @@ class TestHarnessStages:
         assert report.stage == "pipeline"
         assert "fuzz-evil-drop-ret" in report.detail
 
+    def test_planted_backend_fault_buckets_as_backend(self, monkeypatch):
+        wrong = compile_source("fn main() -> int { print(42); return 1; }")
+        monkeypatch.setattr(harness, "compile_module",
+                            lambda module, cost_model:
+                            compile_module(wrong, cost_model))
+        report = run_differential(SMALL_SUM)
+        assert not report.ok
+        assert report.stage == "backend"
+        assert report.detail == "return value: expected 0, got 1"
+
+    @pytest.mark.parametrize("name, machine_cls", [
+        ("translated", TranslatedMachine), ("fast", Machine)])
+    def test_planted_emulator_fault_buckets_as_emulator(self, monkeypatch,
+                                                        name, machine_cls):
+        monkeypatch.setattr(harness, machine_cls.__name__,
+                            _diverging(machine_cls))
+        report = run_differential(SMALL_SUM)
+        assert not report.ok
+        assert report.stage == "emulator"
+        assert name in report.detail and "memory" in report.detail
+
     def test_all_reported_stages_are_known(self):
-        assert set(STAGES) >= {"frontend", "step-limit", "pipeline", "passes",
-                               "backend-seed", "backend-opt", "emulator"}
+        assert STAGES == ("frontend", "step-limit", "interp", "pipeline",
+                          "passes", "backend", "emulator")
 
 
 class TestMinimizer:
