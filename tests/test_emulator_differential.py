@@ -7,12 +7,14 @@ the superblock translator compiles hot regions to Python closures.  These
 tests parametrize over the shared engine helpers in ``tests/engines.py`` so
 every engine — current and future — is held to *identical* trace statistics,
 outputs, paging events, final memory, fault behavior and observer event
-streams, across every seed benchmark and an opcode-coverage microprogram that
-executes every implemented ALU, branch, jump, memory and ecall opcode at
-least once.
+streams, across every seed benchmark (unoptimized, and as the ``-O3`` and
+``-O3-zkvm`` pipelines compile it), divergence-heavy guests, the fuzz corpus
+and an opcode-coverage microprogram that executes every implemented ALU,
+branch, jump, memory and ecall opcode at least once.
 """
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,10 @@ from repro.emulator import (
     decode_program,
 )
 from repro.emulator.decoder import ALU_IMM_IMPLS, _ALU_IMM_DECODED
+from repro.experiments import BenchmarkRunner, profile_by_name
 from repro.frontend import compile_source
+from repro.fuzz import load_corpus
+from repro.fuzz.genprog import generate_program
 
 class RecordingObserver:
     """Captures the full per-instruction event stream."""
@@ -45,7 +50,12 @@ class RecordingObserver:
 
 
 @lru_cache(maxsize=None)
-def _compile_benchmark(name: str) -> AssemblyProgram:
+def _compile_benchmark(name: str,
+                       profile_name: str | None = None) -> AssemblyProgram:
+    """One seed benchmark, unoptimized or as the measurements compile it
+    under ``profile_name``."""
+    if profile_name is not None:
+        return BenchmarkRunner().compile(name, profile_by_name(profile_name))
     benchmark = get_benchmark(name)
     return compile_module(compile_source(benchmark.source, module_name=name))
 
@@ -58,14 +68,15 @@ def _compile(source: str) -> AssemblyProgram:
 _reference_runs: dict = {}
 
 
-def _reference_benchmark_run(name: str):
+def _reference_benchmark_run(name: str, profile_name: str | None = None):
     """The memoized reference-interpreter run of one seed benchmark."""
-    if name not in _reference_runs:
+    key = (name, profile_name)
+    if key not in _reference_runs:
         benchmark = get_benchmark(name)
-        _reference_runs[name] = run_engine(
-            "reference", _compile_benchmark(name), "main", benchmark.args,
-            input_values=benchmark.inputs)
-    return _reference_runs[name]
+        _reference_runs[key] = run_engine(
+            "reference", _compile_benchmark(name, profile_name), "main",
+            benchmark.args, input_values=benchmark.inputs)
+    return _reference_runs[key]
 
 
 def _run_events(machine_cls, program, **kwargs):
@@ -253,15 +264,29 @@ class TestMicroprogram:
         assert stats.branches_not_taken > 0
 
 
+#: Every seed benchmark unoptimized, then as the paper's two profiles compile
+#: it.  The reported numbers come from optimized programs, whose instruction
+#: mix (folded immediates, hoisted invariants, peephole rewrites, registers
+#: recoloured for RVC) differs from the unoptimized one.
+BENCHMARK_CASES = [(name, profile_name)
+                   for profile_name in (None, "-O3", "-O3-zkvm")
+                   for name in all_benchmark_names()]
+
+
 class TestSeedBenchmarksDifferential:
     @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
-    @pytest.mark.parametrize("name", all_benchmark_names())
-    def test_trace_stats_identical(self, name, engine):
+    @pytest.mark.parametrize(
+        "name,profile_name", BENCHMARK_CASES,
+        ids=[name if profile_name is None else f"{name}@{profile_name}"
+             for name, profile_name in BENCHMARK_CASES])
+    def test_trace_stats_identical(self, name, profile_name, engine):
         benchmark = get_benchmark(name)
-        run = run_engine(engine, _compile_benchmark(name), "main",
-                         benchmark.args, input_values=benchmark.inputs)
-        ref = _reference_benchmark_run(name)
-        assert_runs_identical(run, ref, f"on benchmark {name}")
+        run = run_engine(engine, _compile_benchmark(name, profile_name),
+                         "main", benchmark.args, input_values=benchmark.inputs)
+        ref = _reference_benchmark_run(name, profile_name)
+        assert_runs_identical(
+            run, ref,
+            f"on benchmark {name} ({profile_name or 'unoptimized'})")
         assert run.stats.summary() == ref.stats.summary()
 
     @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
@@ -286,6 +311,94 @@ class TestSeedBenchmarksDifferential:
         ENGINES[engine](program, observers=[cpu]).run()
         ReferenceMachine(program, observers=[ref_cpu]).run()
         assert cpu.finalize() == ref_cpu.finalize()
+
+
+#: Heavily divergent control flow: Collatz walks plus a three-way modulo
+#: dispatch, so neighbouring arguments take very different paths.
+BRANCHY_SOURCE = """
+fn collatz(n) -> int {
+  var steps;
+  steps = 0;
+  while (n > 1 && steps < 200) {
+    if (n % 2) { n = 3 * n + 1; } else { n = n / 2; }
+    steps = steps + 1;
+  }
+  return steps;
+}
+fn main(n) -> int {
+  var acc;
+  var i;
+  acc = 0;
+  for (i = 0; i <= n; i = i + 1) {
+    if (i % 3 == 0) {
+      acc = acc + collatz(i + n);
+    } else {
+      if (i % 3 == 1) { acc = acc ^ (i * 2654435761); }
+      else { acc = acc - i; }
+    }
+  }
+  print(acc);
+  return acc;
+}
+"""
+
+#: Folds four host-call input words into printed running hashes.
+INPUTS_SOURCE = """
+fn main() -> int {
+  var acc;
+  var i;
+  acc = 0;
+  for (i = 0; i < 4; i = i + 1) {
+    acc = acc * 31 + read_input(i);
+    print(acc);
+  }
+  return acc;
+}
+"""
+
+
+class TestDivergentGuests:
+    """Argument-, input- and seed-dependent guests against the reference."""
+
+    CORPUS = load_corpus(Path(__file__).parent / "corpus")
+
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
+    @pytest.mark.parametrize("n", [0, 3, 17, 25, 39])
+    def test_branchy_arguments(self, n, engine):
+        program = _compile(BRANCHY_SOURCE)
+        ref = run_engine("reference", program, args=[n])
+        run = run_engine(engine, program, args=[n])
+        assert_runs_identical(run, ref, f"args=[{n}]")
+        assert run.output == [run.stats.return_value]
+
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
+    @pytest.mark.parametrize("inputs", [
+        [1, 2, 3, 4], [5, 5, 5, 5], [0, 0, 0, 7], [123456789, 1, 2, 3],
+    ], ids=["ascending", "constant", "trailing", "large"])
+    def test_host_call_inputs(self, inputs, engine):
+        program = _compile(INPUTS_SOURCE)
+        ref = run_engine("reference", program, input_values=inputs)
+        run = run_engine(engine, program, input_values=inputs)
+        assert_runs_identical(run, ref, f"inputs={inputs}")
+        assert len(run.output) == 4
+
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_branchy_int_generated_program(self, seed, engine):
+        program = _compile(generate_program(seed, mode="branchy-int").source)
+        ref = run_engine("reference", program)
+        run = run_engine(engine, program)
+        assert_runs_identical(run, ref, f"branchy-int seed={seed}")
+
+    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
+    @pytest.mark.parametrize(
+        "path,header,source", CORPUS,
+        ids=[Path(entry[0]).stem for entry in CORPUS])
+    def test_corpus_entry(self, path, header, source, engine):
+        program = _compile(source)
+        ref = run_engine("reference", program)
+        run = run_engine(engine, program)
+        assert_runs_identical(run, ref, Path(path).name)
 
 
 class TestSegmentPaging:
