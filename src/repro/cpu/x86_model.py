@@ -14,6 +14,14 @@ this study cares about (which transformations pay off where), without
 building a second backend; the divergent effects — branchless code, strength
 reduction, unrolling for ILP — come from the timing model, exactly as they do
 on real hardware.
+
+:meth:`CpuTimingModel.on_instruction` states the rules once, per instruction
+and over register names.  Production runs never call it: a
+:class:`~repro.emulator.machine.Machine` with a model attached runs the same
+rules inlined in its dispatch loop over integer state and leaves the totals
+on the model.  :class:`~repro.emulator.reference.ReferenceMachine` drives
+``on_instruction`` event by event, which makes this class the tests' oracle
+for the fused loop.
 """
 
 from __future__ import annotations
@@ -55,10 +63,10 @@ class CpuConfig:
 
     The defaults sketch a contemporary desktop-class x86 core: 4-wide
     issue at 3 GHz, single-cycle ALU ops, slow division, an L1 data cache
-    with a 40-cycle miss penalty and a 14-cycle branch-misprediction
-    penalty.  ``DEFAULT_CPU`` is the instance every measurement uses; its
-    ``repr`` feeds the experiment cache fingerprint so parameter changes
-    invalidate stale measurements.
+    with a 40-cycle load-miss penalty (the load latency covers a hit) and a
+    14-cycle branch-misprediction penalty.  ``DEFAULT_CPU`` is the instance
+    every measurement uses; its ``repr`` feeds the experiment cache
+    fingerprint so parameter changes invalidate stale measurements.
     """
 
     issue_width: int = 4
@@ -67,7 +75,6 @@ class CpuConfig:
         "alu": 1, "mul": 3, "div": 22, "load": 4, "store": 1,
         "branch": 1, "jump": 1, "system": 40,
     })
-    l1_hit_cycles: int = 0          # included in the load latency
     l1_miss_penalty: int = 40
     mispredict_penalty: int = 14
     cache_size_bytes: int = 32 * 1024
@@ -79,13 +86,17 @@ DEFAULT_CPU = CpuConfig()
 
 
 class CpuTimingModel:
-    """An emulator observer that computes CPU cycles for the executed trace.
+    """Computes CPU cycles for one executed trace.
 
     The model is an in-order-issue, out-of-order-completion approximation:
     up to ``issue_width`` instructions issue per cycle, each instruction
     cannot issue before its source registers are ready, and its result
     becomes ready ``latency`` cycles after issue.  Branch mispredictions and
     cache misses stall the front end.
+
+    Attach a fresh model to each run, ``Machine(program,
+    observers=[model])``, then call :meth:`finalize`.  A model times one
+    run: the machine rejects a model that has already timed instructions.
     """
 
     def __init__(self, config: CpuConfig = DEFAULT_CPU):
@@ -104,7 +115,12 @@ class CpuTimingModel:
                        dest: Optional[str], sources: list[str],
                        memory_address: Optional[int], is_store: bool,
                        branch_taken: Optional[bool], pc: int = 0) -> None:
-        """Observer hook: cost one executed instruction of the guest trace."""
+        """Observer hook: cost one executed instruction of the guest trace.
+
+        :class:`~repro.emulator.reference.ReferenceMachine` calls this after
+        each completed instruction; ``Machine._run_timed`` inlines the same
+        rules and must agree with it exactly.
+        """
         config = self.config
         self.instructions += 1
 

@@ -4,12 +4,14 @@ execution trace statistics that the zkVM and CPU cost models consume.
 Three interchangeable execution paths live here:
 
 * :class:`Machine` — the production emulator: decode-once
-  (:func:`decode_program`) and table dispatch over pre-decoded tuples;
+  (:func:`decode_program`) and table dispatch over pre-decoded tuples, with
+  a second loop that times the run on an attached ``CpuTimingModel``;
 * :class:`ReferenceMachine` — the original per-instruction interpreter, kept
-  as the executable specification for differential testing;
+  as the executable specification for differential testing; it drives
+  observers (the ``CpuTimingModel`` oracle) one event per instruction;
 * :class:`TranslatedMachine` — the superblock-translating engine: hot
   decoded regions compiled once into specialized Python closures, with the
-  interpreter loop as the fallback for cold/irregular code and observers.
+  interpreter loops as the fallback for cold/irregular code and timed runs.
 """
 
 from .decoder import DecodedProgram, decode_program

@@ -179,11 +179,11 @@ class DecodedProgram:
     entries: dict
     #: Label name -> flat target index.
     labels: dict
-    #: Per-pc opcode string / instruction class (observer + stats folding).
+    #: Per-pc opcode string / instruction class (CPU latencies + stats folding).
     opcodes: list
     classes: list
-    #: Per-pc observer metadata: destination register name and source names,
-    #: exactly as the reference interpreter reports them.
+    #: Per-pc destination register name and source names, exactly as the
+    #: reference interpreter reports them to its observers.
     dests: list
     sources: list
     #: Control transfers whose label / callee did not resolve statically

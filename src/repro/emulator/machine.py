@@ -1,10 +1,10 @@
 """The RV32IM emulator: pre-decoded, table-dispatched guest replay.
 
-Executes an :class:`~repro.backend.isa.AssemblyProgram`, records a
-:class:`~repro.emulator.trace.TraceStats` summary, and feeds optional
-observers (e.g. the x86 timing model) one event per executed instruction.
-This mirrors the role of the zkVM *executor*: replay the guest and produce
-the execution trace that the proving cost models consume.
+Executes an :class:`~repro.backend.isa.AssemblyProgram` and records a
+:class:`~repro.emulator.trace.TraceStats` summary, optionally timing the run
+on an attached :class:`~repro.cpu.CpuTimingModel`.  This mirrors the role of
+the zkVM *executor*: replay the guest and produce the execution trace that
+the proving cost models consume.
 
 Every figure, table and autotuner generation in this reproduction bottoms out
 here, so the hot loop is engineered for interpreter throughput:
@@ -12,9 +12,12 @@ here, so the hot loop is engineered for interpreter throughput:
 * the program is lowered once by :mod:`~repro.emulator.decoder` into a flat
   stream of pre-decoded tuples (integer handler ids, register slots, resolved
   targets, bound ALU/branch callables) shared across machines and runs;
-* :meth:`Machine.run` picks an **observer-free fast path** when no observers
-  are attached, and an observed path (same decoded stream, plus per-event
-  metadata) when there are;
+* :meth:`Machine.run` has two loops over that stream: the **fast path** when
+  no model is attached, and the **timed path** when a ``CpuTimingModel`` is,
+  which runs the same dispatch with the model's rules inlined over integer
+  state (a ready cycle per register slot, per-set cache line lists, a list
+  of predictor counters), so the loop touches only addresses and branch
+  outcomes;
 * per-instruction opcode/class statistics are deferred: the loop bumps one
   flat integer counter per static instruction and the dict-shaped
   :class:`TraceStats` fields are folded once at halt;
@@ -24,16 +27,18 @@ here, so the hot loop is engineered for interpreter throughput:
   flushed exactly once at halt.
 
 The original seed interpreter survives verbatim as
-:class:`~repro.emulator.reference.ReferenceMachine`; the differential tests
-assert both produce identical traces, outputs and observer event streams.
+:class:`~repro.emulator.reference.ReferenceMachine`, and it still drives the
+observer ``CpuTimingModel.on_instruction``; the differential tests assert
+both produce identical traces, outputs and ``CpuMetrics``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Protocol
+from typing import Iterable, List, Optional
 
 from ..backend.isa import AssemblyProgram
 from ..backend.lowering import HOST_CALL_IDS, STACK_TOP
+from ..cpu.x86_model import CpuTimingModel
 from ..zkvm.precompiles import HOST_CALL_ARITY, interpret_host_call
 from .decoder import (
     CONDITIONAL_KINDS, DecodedProgram, K_ADD, K_ADDI, K_ALU_RI, K_ALU_RR,
@@ -56,30 +61,33 @@ class EmulationError(Exception):
     """Raised on invalid guest behaviour (unknown opcode, bad call target, ...)."""
 
 
-class Observer(Protocol):
-    """Per-instruction event consumer (used by the CPU timing model)."""
-
-    def on_instruction(self, opcode: str, instruction_class: str,
-                       dest: Optional[str], sources: list[str],
-                       memory_address: Optional[int], is_store: bool,
-                       branch_taken: Optional[bool], pc: int) -> None: ...
-
-
 class Machine:
     """A single-hart RV32IM machine with a flat word-addressed memory.
 
     The register file is a plain list indexed by the decoder's register
     slots (``zero`` is slot 0 and always reads 0); :meth:`get` / :meth:`set`
     translate ABI names for host calls and external callers.
+
+    ``observers`` holds at most one :class:`~repro.cpu.CpuTimingModel`,
+    which the run times in place; call its ``finalize()`` afterwards.  Any
+    other per-instruction observer needs the event stream that only
+    :class:`~repro.emulator.reference.ReferenceMachine` produces.
     """
 
     def __init__(self, program: AssemblyProgram, max_instructions: int = 50_000_000,
-                 observers: Iterable[Observer] = (), segment_size: int = 1 << 16,
+                 observers: Iterable[CpuTimingModel] = (), segment_size: int = 1 << 16,
                  input_values: Optional[list[int]] = None):
         self.program = program
         self.decoded: DecodedProgram = decode_program(program)
         self.max_instructions = max_instructions
         self.observers = list(observers)
+        # Exact type: the timed loop inlines CpuTimingModel's own rules, so
+        # a subclass overriding them would be silently ignored.
+        if len(self.observers) > 1 or any(
+                type(observer) is not CpuTimingModel for observer in self.observers):
+            raise TypeError(
+                f"{type(self).__name__} accepts at most one observer, a "
+                "CpuTimingModel; drive other observers with ReferenceMachine")
         self.segment_size = segment_size
         self.input_values = input_values
         self._reset_run_state()
@@ -153,7 +161,7 @@ class Machine:
         pc = decoded.entries[entry]
         try:
             if self.observers:
-                self._run_observed(pc)
+                self._run_timed(pc, self.observers[0])
             else:
                 self._run_fast(pc)
         finally:
@@ -167,7 +175,7 @@ class Machine:
         stats.output = list(self.output)
         return stats
 
-    # -- the observer-free fast path ------------------------------------------
+    # -- the fast path: no CPU model attached ----------------------------------
     def _run_fast(self, pc: int) -> None:
         decoded = self.decoded
         code = decoded.code
@@ -332,20 +340,43 @@ class Machine:
         finally:
             self._executed = executed
 
-    # -- the observed path -----------------------------------------------------
-    def _run_observed(self, pc: int) -> None:
-        """Same decoded dispatch, plus one event per instruction to observers.
+    # -- the timed path: the CPU timing model fused into the dispatch ---------
+    def _run_timed(self, pc: int, model: CpuTimingModel) -> None:
+        """The fast path's dispatch with ``model``'s timing rules inlined.
 
-        Events carry exactly what the reference interpreter reported: opcode,
-        instruction class, destination/source register *names*, the effective
-        memory address for loads/stores, and the branch outcome.
+        :meth:`CpuTimingModel.on_instruction` is the specification and, driven
+        by :class:`~repro.emulator.reference.ReferenceMachine`, the test
+        oracle.  Here the same rules run over integer state:
+
+        * per-pc static facts: the latency of each instruction's class, from
+          ``model.config``; the source and destination register slots come
+          straight from the decoded tuples (slot 0, ``zero``, is never
+          written, so its ready cycle stays 0 and never stalls an issue);
+        * ``ready``, the cycle each register slot's value is ready, and the
+          front end's ``cycle`` with ``left`` issue slots in it;
+        * per-set lists of cache line numbers, most recently used first and
+          pre-filled with ``-1`` so a probe never meets an empty set;
+        * a list of 2-bit predictor counters indexed by ``pc % table_size``.
+
+        As in the reference, only instructions that complete are timed: each
+        handler writes ready cycles, cache and predictor state after its last
+        fault check.  The issue-width bump that the reference makes at the
+        start of an instruction is made at the end of the previous one and
+        undone after the last.  A store has no destination, so its latency
+        (and the store-miss penalty) never reaches a ready cycle and is not
+        computed.  At exit the totals ``finalize()`` reads land on ``model``,
+        its cache and its predictor, also when the guest faulted.
         """
+        if model.instructions:
+            raise ValueError(
+                f"this CpuTimingModel already timed {model.instructions} "
+                "instructions; attach a fresh model to each run")
+        config = model.config
+        WIDTH = config.issue_width
+        if WIDTH < 1:
+            raise ValueError(f"issue_width must be at least 1, not {WIDTH}")
         decoded = self.decoded
         code = decoded.code
-        opcodes = decoded.opcodes
-        classes = decoded.classes
-        dests = decoded.dests
-        sources = decoded.sources
         regs = self.registers
         memory = self.memory
         mem_get = memory.get
@@ -357,11 +388,33 @@ class Machine:
         tc = self._taken_counts
         seg_size = self.segment_size
         limit = self.max_instructions
+        # Counts completed instructions only (bumped at the end of the loop
+        # body), so it is also the number the model timed.
         executed = self._executed
         seg_left = seg_size - executed % seg_size
         M = WORD_MASK
         SENTINEL = RETURN_SENTINEL
-        notifiers = tuple(observer.on_instruction for observer in self.observers)
+        ADDI, ADD, ALU_RR, ALU_RI, LW, SW, BR, MV, LI, BEQZ, BNEZ, J, CALL, \
+            JAL, JALR, ECALL, NOP, BAD = (
+                K_ADDI, K_ADD, K_ALU_RR, K_ALU_RI, K_LW, K_SW, K_BR, K_MV,
+                K_LI, K_BEQZ, K_BNEZ, K_J, K_CALL, K_JAL, K_JALR, K_ECALL,
+                K_NOP, K_BAD)
+
+        latency = config.latency
+        lat = [latency.get(cls, 1) for cls in decoded.classes]
+        LOAD_MISS = config.l1_miss_penalty
+        MISPREDICT = config.mispredict_penalty
+        cache = model.cache
+        LINE = cache.line_bytes
+        SETS = cache.sets
+        lines = [[-1] * cache.ways for _ in range(SETS)]
+        predictor = model.predictor
+        TABLE = predictor.table_size
+        counters = [1] * TABLE
+        ready = [0] * decoded.num_slots
+        cycle = 0
+        left = WIDTH
+        hits = misses = correct = mispredicted = 0
 
         try:
             while pc != SENTINEL:
@@ -369,97 +422,222 @@ class Machine:
                 if executed >= limit:
                     raise EmulationError(f"instruction limit exceeded ({limit})")
                 ec[pc] += 1
-                executed += 1
-                current = pc
-                memory_address: Optional[int] = None
-                is_store = False
-                branch_taken: Optional[bool] = None
                 k = ins[0]
-                if k == K_ADDI:
+                if k == ADDI:
+                    rs = ins[2]
+                    r = ready[rs]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
                     rd = ins[1]
                     if rd:
-                        regs[rd] = (regs[ins[2]] + ins[3]) & M
+                        regs[rd] = (regs[rs] + ins[3]) & M
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k == K_ADD:
+                elif k == ADD:
+                    rs = ins[2]
+                    rt = ins[3]
+                    r = ready[rs]
+                    r2 = ready[rt]
+                    if r2 > r:
+                        r = r2
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
                     rd = ins[1]
                     if rd:
-                        regs[rd] = (regs[ins[2]] + regs[ins[3]]) & M
+                        regs[rd] = (regs[rs] + regs[rt]) & M
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k == K_ALU_RR:
+                elif k == ALU_RR:
+                    rs = ins[2]
+                    rt = ins[3]
+                    r = ready[rs]
+                    r2 = ready[rt]
+                    if r2 > r:
+                        r = r2
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
                     rd = ins[1]
                     if rd:
-                        regs[rd] = ins[4](regs[ins[2]], regs[ins[3]])
+                        regs[rd] = ins[4](regs[rs], regs[rt])
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k == K_ALU_RI:
+                elif k == ALU_RI:
+                    rs = ins[2]
+                    r = ready[rs]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
                     rd = ins[1]
                     if rd:
-                        regs[rd] = ins[4](regs[ins[2]], ins[3])
+                        regs[rd] = ins[4](regs[rs], ins[3])
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k == K_LW:
-                    memory_address = (regs[ins[3]] + ins[2]) & M
-                    page = memory_address >> _PAGE_SHIFT
+                elif k == LW:
+                    base = ins[3]
+                    address = (regs[base] + ins[2]) & M
+                    page = address >> _PAGE_SHIFT
                     pac[page] = pac_get(page, 0) + 1
                     seg_read_add(page)
+                    r = ready[base]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    line = address // LINE
+                    entries = lines[line % SETS]
+                    wait = lat[pc]
+                    if entries[0] == line:
+                        hits += 1
+                    elif line in entries:
+                        entries.remove(line)
+                        entries.insert(0, line)
+                        hits += 1
+                    else:
+                        entries.insert(0, line)
+                        entries.pop()
+                        misses += 1
+                        wait += LOAD_MISS
                     rd = ins[1]
                     if rd:
-                        regs[rd] = mem_get(memory_address & 0xFFFFFFFC, 0) & M
+                        regs[rd] = mem_get(address & 0xFFFFFFFC, 0) & M
+                        ready[rd] = cycle + wait
                     pc += 1
-                elif k == K_SW:
-                    memory_address = (regs[ins[3]] + ins[2]) & M
-                    page = memory_address >> _PAGE_SHIFT
+                elif k == SW:
+                    rs = ins[1]
+                    base = ins[3]
+                    address = (regs[base] + ins[2]) & M
+                    page = address >> _PAGE_SHIFT
                     pac[page] = pac_get(page, 0) + 1
                     seg_write_add(page)
-                    memory[memory_address & 0xFFFFFFFC] = regs[ins[1]]
-                    is_store = True
+                    memory[address & 0xFFFFFFFC] = regs[rs]
+                    r = ready[rs]
+                    r2 = ready[base]
+                    if r2 > r:
+                        r = r2
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    line = address // LINE
+                    entries = lines[line % SETS]
+                    if entries[0] == line:
+                        hits += 1
+                    elif line in entries:
+                        entries.remove(line)
+                        entries.insert(0, line)
+                        hits += 1
+                    else:
+                        entries.insert(0, line)
+                        entries.pop()
+                        misses += 1
                     pc += 1
-                elif k == K_BR:
-                    branch_taken = ins[4](regs[ins[1]], regs[ins[2]])
-                    if branch_taken:
+                elif k == BR:
+                    rs = ins[1]
+                    rt = ins[2]
+                    r = ready[rs]
+                    r2 = ready[rt]
+                    if r2 > r:
+                        r = r2
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    slot = pc % TABLE
+                    c = counters[slot]
+                    if ins[4](regs[rs], regs[rt]):
                         tc[pc] += 1
                         target = ins[3]
                         if target < 0:
                             raise EmulationError(
                                 f"unknown label: {decoded.unresolved[pc]}")
+                        if c > 1:
+                            correct += 1
+                            if c == 2:
+                                counters[slot] = 3
+                        else:
+                            counters[slot] = c + 1
+                            mispredicted += 1
+                            cycle += MISPREDICT
+                            left = WIDTH
                         pc = target
                     else:
+                        if c < 2:
+                            correct += 1
+                            if c:
+                                counters[slot] = 0
+                        else:
+                            counters[slot] = c - 1
+                            mispredicted += 1
+                            cycle += MISPREDICT
+                            left = WIDTH
                         pc += 1
-                elif k == K_MV:
+                elif k == MV:
+                    rs = ins[2]
+                    r = ready[rs]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
                     rd = ins[1]
                     if rd:
-                        regs[rd] = regs[ins[2]]
+                        regs[rd] = regs[rs]
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k == K_LI:
+                elif k == LI:
                     rd = ins[1]
                     if rd:
                         regs[rd] = ins[2]
+                        ready[rd] = cycle + lat[pc]
                     pc += 1
-                elif k in (K_BEQZ, K_BNEZ):
-                    value = regs[ins[1]]
-                    branch_taken = (value == 0) if k == K_BEQZ else (value != 0)
-                    if branch_taken:
+                elif k == BEQZ or k == BNEZ:
+                    rs = ins[1]
+                    r = ready[rs]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    slot = pc % TABLE
+                    c = counters[slot]
+                    if (regs[rs] == 0) == (k == BEQZ):
                         tc[pc] += 1
                         target = ins[2]
                         if target < 0:
                             raise EmulationError(
                                 f"unknown label: {decoded.unresolved[pc]}")
+                        if c > 1:
+                            correct += 1
+                            if c == 2:
+                                counters[slot] = 3
+                        else:
+                            counters[slot] = c + 1
+                            mispredicted += 1
+                            cycle += MISPREDICT
+                            left = WIDTH
                         pc = target
                     else:
+                        if c < 2:
+                            correct += 1
+                            if c:
+                                counters[slot] = 0
+                        else:
+                            counters[slot] = c - 1
+                            mispredicted += 1
+                            cycle += MISPREDICT
+                            left = WIDTH
                         pc += 1
-                elif k == K_J:
-                    branch_taken = True
+                elif k == J:
                     target = ins[1]
                     if target < 0:
                         raise EmulationError(
                             f"unknown label: {decoded.unresolved[pc]}")
                     pc = target
-                elif k == K_CALL:
+                elif k == CALL:
                     target = ins[1]
                     if target < 0:   # faults before the link write (ref order)
                         raise EmulationError(
                             f"call to unknown function: {decoded.unresolved[pc]}")
-                    regs[1] = ins[2]
+                    regs[1] = ins[2]                        # ra = link
+                    ready[1] = cycle + lat[pc]
                     pc = target
-                elif k == K_JAL:
+                elif k == JAL:
                     rd = ins[1]
                     if rd:           # link is written before the fault check,
                         regs[rd] = ins[3]                   # as in the reference
@@ -467,32 +645,45 @@ class Machine:
                     if target < 0:
                         raise EmulationError(
                             f"unknown label: {decoded.unresolved[pc]}")
+                    if rd:
+                        ready[rd] = cycle + lat[pc]
                     pc = target
-                elif k == K_JALR:
-                    target = (regs[ins[2]] + ins[3]) & M
+                elif k == JALR:
+                    rs = ins[2]
+                    r = ready[rs]
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    target = (regs[rs] + ins[3]) & M
                     rd = ins[1]
                     if rd:
                         regs[rd] = ins[4]
+                        ready[rd] = cycle + lat[pc]
                     pc = target
-                elif k == K_ECALL:
+                elif k == ECALL:
                     self._ecall()
+                    # Sources a0-a2 and a7; the result lands in a0.
+                    r = max(ready[10], ready[11], ready[12], ready[17])
+                    if r > cycle:
+                        cycle = r
+                        left = WIDTH
+                    ready[10] = cycle + lat[pc]
                     pc += 1
-                elif k == K_NOP:
+                elif k == NOP:
                     pc += 1
-                elif k == K_BAD:
+                elif k == BAD:
                     if not ins[3]:
                         ec[pc] -= 1
-                        executed -= 1
                     raise (EmulationError(ins[2]) if ins[1]
                            else ValueError(ins[2]))
                 else:  # pragma: no cover - decoder emits only known kinds
                     raise EmulationError(f"unknown handler id: {k}")
 
-                for notify in notifiers:
-                    notify(opcodes[current], classes[current], dests[current],
-                           sources[current], memory_address, is_store,
-                           branch_taken, current)
-
+                left -= 1
+                if not left:
+                    cycle += 1
+                    left = WIDTH
+                executed += 1
                 seg_left -= 1
                 if not seg_left:
                     seg_left = seg_size
@@ -504,6 +695,23 @@ class Machine:
             raise
         finally:
             self._executed = executed
+            if executed and left == WIDTH:
+                # Undo the bump after the last instruction: the reference
+                # bumps only when a next instruction issues.  (A stall in an
+                # instruction that then faulted also leaves ``left ==
+                # WIDTH``.  Its ``cycle`` is a ready cycle, so the drain in
+                # ``finalize()`` covers it and ``cycles`` comes out the same.)
+                cycle -= 1
+                left = 0
+            model.instructions = executed
+            model.current_cycle = cycle
+            model.issued_this_cycle = WIDTH - left
+            model.register_ready = {name: ready[slot] for name, slot
+                                    in decoded.slots.items() if ready[slot]}
+            cache.hits = hits
+            cache.misses = misses
+            predictor.correct = correct
+            predictor.mispredicted = mispredicted
 
     # -- statistics ------------------------------------------------------------
     def _fold_stats(self) -> None:
@@ -585,7 +793,7 @@ class Machine:
 
 def run_program(program: AssemblyProgram, entry: str = "main",
                 args: Optional[list[int]] = None,
-                observers: Iterable[Observer] = (),
+                observers: Iterable[CpuTimingModel] = (),
                 max_instructions: int = 50_000_000,
                 input_values: Optional[list[int]] = None,
                 translate: bool = False) -> TraceStats:

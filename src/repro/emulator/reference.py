@@ -13,12 +13,12 @@ obviously faithful to the original step semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Protocol
 
 from ..backend.isa import AssemblyProgram, Label, MachineInstr, classify
 from ..backend.lowering import STACK_TOP
 from ..zkvm.precompiles import HOST_CALL_ARITY, interpret_host_call
-from .machine import EmulationError, HOST_CALL_NAMES, Observer
+from .machine import EmulationError, HOST_CALL_NAMES
 from .trace import PAGE_SIZE, TraceStats
 
 WORD_MASK = 0xFFFFFFFF
@@ -28,6 +28,21 @@ RETURN_SENTINEL = 0xFFFF_FFF0
 def _to_signed(value: int) -> int:
     value &= WORD_MASK
     return value - (1 << 32) if value >= (1 << 31) else value
+
+
+class Observer(Protocol):
+    """Per-instruction event consumer, called after each completed instruction.
+
+    Only this interpreter produces the event stream.  Its production consumer
+    is :meth:`repro.cpu.CpuTimingModel.on_instruction`, which makes the
+    observer model the oracle for the timing rules that
+    :class:`~repro.emulator.machine.Machine` fuses into its dispatch loop.
+    """
+
+    def on_instruction(self, opcode: str, instruction_class: str,
+                       dest: Optional[str], sources: list[str],
+                       memory_address: Optional[int], is_store: bool,
+                       branch_taken: Optional[bool], pc: int) -> None: ...
 
 
 @dataclass

@@ -27,10 +27,12 @@ decoded *superblocks* into specialized Python closures once per program:
   reused across machines and re-runs), checking the instruction limit and
   the per-segment countdown **once per block** against the region's maximum
   length.  Anything the block path cannot serve byte-for-byte — irregular
-  instructions, a segment or limit boundary inside the block's reach, an
-  attached observer — falls back to the interpreter ladder, which is kept
-  verbatim from :class:`Machine` so fault behaviour, paging and counting are
-  identical down to the partial trace a mid-run fault leaves behind.
+  instructions, a segment or limit boundary inside the block's reach —
+  falls back to the interpreter ladder, which is kept verbatim from
+  :class:`Machine` so fault behaviour, paging and counting are identical
+  down to the partial trace a mid-run fault leaves behind.  A run with a
+  CPU timing model attached never dispatches blocks: it takes the inherited
+  timed loop.
 
 Per-pc execution statistics are recovered losslessly at halt: every exit
 knows the pcs its path executed (and the conditional branch it took, if
@@ -668,11 +670,11 @@ def translation_cache(decoded: DecodedProgram,
 
 
 class TranslatedMachine(Machine):
-    """A :class:`Machine` whose observer-free fast path runs superblocks.
+    """A :class:`Machine` whose untimed fast path runs superblocks.
 
-    Everything else — construction, register/memory interface, the observed
+    Everything else — construction, register/memory interface, the timed
     path, host calls, segment flushing — is inherited unchanged, so any run
-    the block dispatcher cannot serve (observers attached, irregular code,
+    the block dispatcher cannot serve (a CPU model attached, irregular code,
     boundary-straddling blocks) behaves *exactly* like the interpreter.
     """
 

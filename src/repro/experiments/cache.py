@@ -134,10 +134,10 @@ def measurement_fingerprint(benchmark: "Benchmark", profile: "Profile",
         "verify": verify,
     }
     if translate:
-        # Translated measurements carry no CPU-model metrics (the timing
-        # model needs per-instruction observer events), so they must not
-        # share cache entries with interpreter measurements.  Keyed only
-        # when set so existing cache entries stay valid.
+        # Translated measurements carry no CPU-model metrics (timing a run
+        # takes the interpreter's timed loop, which superblocks skip), so
+        # they must not share cache entries with interpreter measurements.
+        # Keyed only when set so existing cache entries stay valid.
         recipe["engine"] = "translated"
     profile_blob = json.dumps(recipe, sort_keys=True, default=repr)
     blob = "\x1e".join([_environment_blob(), _benchmark_blob(benchmark),

@@ -36,8 +36,8 @@ class Measurement:
     trace: TraceStats
     risc0: ZkvmMetrics
     sp1: ZkvmMetrics
-    #: None for measurements taken through the translated engine, which has
-    #: no per-instruction observer stream to drive the CPU timing model.
+    #: None for measurements taken through the translated engine: timing a
+    #: run takes the interpreter's timed loop, which superblocks skip.
     cpu: Optional[CpuMetrics]
     static_instructions: int
     #: Byte-accurate binary footprint ``{"rv32": ..., "rvc": ...}`` from
@@ -135,10 +135,11 @@ class BenchmarkRunner:
         #: True replays guest programs through the superblock-translating
         #: :class:`~repro.emulator.translate.TranslatedMachine` — same
         #: TraceStats/paging byte-for-byte, several times faster — at the
-        #: cost of the CPU timing model (``Measurement.cpu`` is None): the
-        #: timing model is a per-instruction observer, and observers force
-        #: the interpreter fallback.  The autotuner only consumes
-        #: trace-derived zkVM metrics, so its measurement path uses this.
+        #: cost of the CPU timing model (``Measurement.cpu`` is None): an
+        #: attached ``CpuTimingModel`` makes every run take the
+        #: interpreter's timed loop instead of superblocks.  The autotuner
+        #: only consumes trace-derived zkVM metrics, so its measurement path
+        #: uses this.
         self.translate = translate
         self._source_cache: dict[str, Module] = {}
         self._measure_cache: dict[tuple[str, str], Measurement] = {}

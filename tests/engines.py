@@ -1,15 +1,19 @@
 """Cross-engine helpers for guest-execution tests.
 
-The repo has three ways to execute one guest program — the readable
-reference interpreter, the decoded fast interpreter and the superblock
-translator — and every differential battery wants to run against all of
-them.  This module gives them one uniform surface:
+The repo has four ways to execute one guest program — the readable
+reference interpreter, the decoded fast interpreter, the superblock
+translator and the fast interpreter's timed loop (a ``CpuTimingModel``
+attached, its rules fused into the dispatch) — and every differential
+battery wants to run against all of them.  This module gives them one
+uniform surface:
 
 * :func:`run_engine` constructs the right machine for an engine name,
   runs it, and captures the outcome as an :class:`EngineRun` — stats,
-  paging events, output, memory and any fault.
+  paging events, output, memory, any fault and, for timed engines, the
+  ``CpuMetrics`` (partial ones when the guest faulted).
 * :func:`assert_runs_identical` is the shared "this engine matched the
-  reference" check.
+  reference" check.  The reference always drives the observer
+  ``CpuTimingModel``, the oracle for the timed engine's metrics.
 
 Adding a new engine here (one ``ENGINES`` entry) makes it inherit the
 whole differential battery in ``test_emulator_differential.py`` and the
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.cpu import CpuTimingModel
 from repro.emulator import (
     EmulationError,
     Machine,
@@ -32,7 +37,11 @@ ENGINES = {
     "reference": ReferenceMachine,
     "fast": Machine,
     "translated": TranslatedMachine,
+    "timed": Machine,
 }
+
+#: Engines that run with a fresh ``CpuTimingModel`` attached.
+TIMED_ENGINES = frozenset({"reference", "timed"})
 
 #: The engines differential tests compare *against* the reference.
 DIFF_ENGINE_NAMES = tuple(name for name in ENGINES if name != "reference")
@@ -43,7 +52,8 @@ class EngineRun:
 
     ``error`` is the :class:`EmulationError` the run faulted with, or
     None for a clean halt; ``stats`` is the (possibly partial, on a
-    fault) folded :class:`TraceStats` either way.
+    fault) folded :class:`TraceStats` either way, and so is ``cpu``, the
+    ``CpuMetrics`` of a timed engine (None for the others).
     """
 
     def __init__(self, engine: str, machine, error: Optional[BaseException]):
@@ -54,15 +64,17 @@ class EngineRun:
         self.page_out_events = machine.page_out_events
         self.output = list(machine.output)
         self.error = error
+        self.cpu = (machine.observers[0].finalize() if machine.observers
+                    else None)
 
 
 def run_engine(engine: str, program, entry: str = "main",
                args: Optional[Sequence[int]] = None, *,
                input_values: Optional[Sequence[int]] = None,
                segment_size: int = 1 << 16,
-               max_instructions: int = 50_000_000,
-               observers: Sequence = ()) -> EngineRun:
+               max_instructions: int = 50_000_000) -> EngineRun:
     """Run ``program`` on the named engine, capturing faults instead of raising."""
+    observers = [CpuTimingModel()] if engine in TIMED_ENGINES else []
     machine = ENGINES[engine](
         program, max_instructions=max_instructions, observers=observers,
         segment_size=segment_size,
@@ -95,3 +107,7 @@ def assert_runs_identical(run: EngineRun, reference: EngineRun,
         f"{run.engine} page-out events diverged{where}")
     assert run.machine.memory == reference.machine.memory, (
         f"{run.engine} final memory diverged{where}")
+    if run.cpu is not None:
+        assert run.cpu == reference.cpu, (
+            f"{run.engine} CpuMetrics diverged from {reference.engine}{where}: "
+            f"{run.cpu} vs {reference.cpu}")

@@ -1,16 +1,20 @@
 """Differential tests: every execution engine vs the seed interpreter.
 
 The production :class:`~repro.emulator.machine.Machine` replays guests through
-a decode-once, table-dispatch pipeline; the original per-instruction
-interpreter survives as :class:`~repro.emulator.reference.ReferenceMachine`;
-the superblock translator compiles hot regions to Python closures.  These
-tests parametrize over the shared engine helpers in ``tests/engines.py`` so
-every engine — current and future — is held to *identical* trace statistics,
-outputs, paging events, final memory, fault behavior and observer event
-streams, across every seed benchmark (unoptimized, and as the ``-O3`` and
+a decode-once, table-dispatch pipeline, with a second loop that fuses the CPU
+timing model into the dispatch; the original per-instruction interpreter
+survives as :class:`~repro.emulator.reference.ReferenceMachine` and drives the
+observer ``CpuTimingModel``; the superblock translator compiles hot regions to
+Python closures.  These tests parametrize over the shared engine helpers in
+``tests/engines.py`` so every engine — current and future — is held to
+*identical* trace statistics, outputs, paging events, final memory, fault
+behavior and (for the timed engine) ``CpuMetrics``, partial ones at a fault
+included, across every seed benchmark (unoptimized, and as the ``-O3`` and
 ``-O3-zkvm`` pipelines compile it), divergence-heavy guests, the fuzz corpus
 and an opcode-coverage microprogram that executes every implemented ALU,
-branch, jump, memory and ecall opcode at least once.
+branch, jump, memory and ecall opcode at least once.  Targeted guests pin the
+timing rules the benchmarks may not reach: LRU eviction, predictor aliasing
+and the latency drain.
 """
 
 from functools import lru_cache
@@ -18,13 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from engines import DIFF_ENGINE_NAMES, ENGINES, assert_runs_identical, run_engine
+from engines import (
+    DIFF_ENGINE_NAMES, EngineRun, assert_runs_identical, run_engine,
+)
 from repro.backend import compile_module
 from repro.backend.isa import (
     AssemblyFunction, AssemblyProgram, Label, MachineInstr,
 )
 from repro.backend.lowering import HOST_CALL_IDS
 from repro.benchmarks import all_benchmark_names, get_benchmark
+from repro.cpu import CpuTimingModel
+from repro.cpu.x86_model import CpuConfig
 from repro.emulator import (
     EmulationError, Machine, ReferenceMachine, TranslatedMachine,
     decode_program,
@@ -34,20 +42,6 @@ from repro.experiments import BenchmarkRunner, profile_by_name
 from repro.frontend import compile_source
 from repro.fuzz import load_corpus
 from repro.fuzz.genprog import generate_program
-
-class RecordingObserver:
-    """Captures the full per-instruction event stream."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_instruction(self, opcode, instruction_class, dest, sources,
-                       memory_address, is_store, branch_taken, pc):
-        self.events.append((opcode, instruction_class, dest, tuple(sources),
-                            memory_address, bool(is_store),
-                            None if branch_taken is None else bool(branch_taken),
-                            pc))
-
 
 @lru_cache(maxsize=None)
 def _compile_benchmark(name: str,
@@ -69,7 +63,8 @@ _reference_runs: dict = {}
 
 
 def _reference_benchmark_run(name: str, profile_name: str | None = None):
-    """The memoized reference-interpreter run of one seed benchmark."""
+    """The memoized reference-interpreter run of one seed benchmark, timed
+    by the observer ``CpuTimingModel``."""
     key = (name, profile_name)
     if key not in _reference_runs:
         benchmark = get_benchmark(name)
@@ -77,22 +72,6 @@ def _reference_benchmark_run(name: str, profile_name: str | None = None):
             "reference", _compile_benchmark(name, profile_name), "main",
             benchmark.args, input_values=benchmark.inputs)
     return _reference_runs[key]
-
-
-def _run_events(machine_cls, program, **kwargs):
-    """Run a scalar machine with a recording observer attached."""
-    observer = RecordingObserver()
-    machine = machine_cls(program, observers=[observer], **kwargs)
-    machine.run()
-    return machine, observer.events
-
-
-def _assert_machines_identical(fast, ref, context=""):
-    assert fast.stats == ref.stats, f"TraceStats diverged {context}"
-    assert fast.page_in_events == ref.page_in_events, context
-    assert fast.page_out_events == ref.page_out_events, context
-    assert fast.output == ref.output, context
-    assert fast.memory == ref.memory, context
 
 
 # -- opcode-coverage microprogram ----------------------------------------------
@@ -247,16 +226,18 @@ class TestMicroprogram:
         run = run_engine(engine, program, input_values=[77])
         assert_runs_identical(run, ref, "on the microprogram")
 
-    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
-    def test_observed_run_identical_to_reference(self, engine):
+    def test_translated_machine_times_like_the_reference(self):
+        # A TranslatedMachine with a model attached inherits Machine's timed
+        # loop: it must time the run exactly like the reference observer and
+        # never enter (or compile) a superblock.
         program = microprogram()
-        ref, ref_events = _run_events(ReferenceMachine, program,
-                                      input_values=[77])
-        machine, events = _run_events(ENGINES[engine], program,
-                                      input_values=[77])
-        _assert_machines_identical(machine, ref,
-                                   f"on the observed microprogram ({engine})")
-        assert events == ref_events
+        ref = run_engine("reference", program, input_values=[77])
+        machine = TranslatedMachine(program, observers=[CpuTimingModel()],
+                                    input_values=[77])
+        machine.run()
+        assert_runs_identical(EngineRun("translated", machine, None), ref,
+                              "timed translated run of the microprogram")
+        assert machine._tcache.compiled_blocks == 0
 
     def test_branches_seen_taken_and_not_taken(self):
         stats = Machine(microprogram(), input_values=[77]).run()
@@ -288,29 +269,6 @@ class TestSeedBenchmarksDifferential:
             run, ref,
             f"on benchmark {name} ({profile_name or 'unoptimized'})")
         assert run.stats.summary() == ref.stats.summary()
-
-    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
-    @pytest.mark.parametrize("name", ["fibonacci", "loop-sum", "factorial",
-                                      "tailcall"])
-    def test_observer_event_streams_identical(self, name, engine):
-        benchmark = get_benchmark(name)
-        program = _compile_benchmark(name)
-        _, ref_events = _run_events(ReferenceMachine, program,
-                                    input_values=benchmark.inputs)
-        _, events = _run_events(ENGINES[engine], program,
-                                input_values=benchmark.inputs)
-        assert events == ref_events, \
-            f"event streams diverged on {name} ({engine})"
-
-    @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
-    def test_cpu_timing_model_identical(self, engine):
-        from repro.cpu import CpuTimingModel
-
-        program = _compile_benchmark("fibonacci")
-        cpu, ref_cpu = CpuTimingModel(), CpuTimingModel()
-        ENGINES[engine](program, observers=[cpu]).run()
-        ReferenceMachine(program, observers=[ref_cpu]).run()
-        assert cpu.finalize() == ref_cpu.finalize()
 
 
 #: Heavily divergent control flow: Collatz walks plus a three-way modulo
@@ -666,3 +624,148 @@ class TestDecodePipeline:
         run = run_engine(engine, program)
         assert_runs_identical(run, ref, "with interned custom register")
         assert run.stats.return_value == 9
+
+
+def _line_cycling_guest() -> AssemblyProgram:
+    """Nine cache lines (4 KiB apart, so one 8-way set) touched in an order
+    whose misses depend on LRU order: fill the set, re-touch its oldest line,
+    store to a ninth line (the eviction must spare the re-touched line), then
+    load the evicted line and use it at once (a 40-cycle load miss)."""
+    body = [
+        _instr("li", "s0", 0x10000),
+        _instr("li", "s1", 4096),
+        _instr("li", "t6", 6),
+        Label("Lcycle"),
+        _instr("mv", "t0", "s0"),
+    ]
+    for way in range(8):
+        body += [_instr("lw", "a0", 0, "t0"), _instr("add", "t0", "t0", "s1")]
+    body += [
+        _instr("lw", "a1", 0, "s0"),          # oldest line, hit: to the front
+        _instr("sw", "a1", 0, "t0"),          # ninth line: store miss
+        _instr("lw", "a2", 0, "s0"),          # still cached
+        _instr("add", "t1", "s0", "s1"),
+        _instr("lw", "a3", 0, "t1"),          # evicted by the store: miss
+        _instr("add", "a4", "a3", "a3"),      # waits out the miss
+        _instr("addi", "t6", "t6", -1),
+        _instr("bnez", "t6", "Lcycle"),
+        _instr("mv", "a0", "a4"),
+        _instr("jalr", "zero", "ra", 0),
+    ]
+    return AssemblyProgram(functions={"main": AssemblyFunction("main", body)})
+
+
+def _aliasing_branches_guest(table_size: int = 4096) -> AssemblyProgram:
+    """Two hot branches ``table_size`` pcs apart with opposite outcomes, so
+    they share (and fight over) one counter of the ``pc % table_size``
+    predictor table.  Never-executed padding puts more than ``table_size``
+    instructions in the program."""
+    main = [
+        _instr("addi", "sp", "sp", -8),
+        _instr("sw", "ra", 4, "sp"),
+        _instr("li", "t6", 40),
+        Label("Lagain"),
+        _instr("call", "far"),
+        _instr("addi", "t6", "t6", -1),
+        _instr("bnez", "t6", "Lagain"),       # taken 39 of 40 times
+        _instr("lw", "ra", 4, "sp"),
+        _instr("addi", "sp", "sp", 8),
+        _instr("jalr", "zero", "ra", 0),
+    ]
+    far = [
+        _instr("bnez", "zero", "Lfar_ret"),   # never taken
+        Label("Lfar_ret"),
+        _instr("jalr", "zero", "ra", 0),
+    ]
+    code = [item for item in main if isinstance(item, MachineInstr)]
+    taken_pc = next(pc for pc, instr in enumerate(code)
+                    if instr.opcode == "bnez")
+    padding = [_instr("nop")] * (taken_pc + table_size - len(code))
+    return AssemblyProgram(functions={
+        "main": AssemblyFunction("main", main),
+        "padding": AssemblyFunction("padding", padding),
+        "far": AssemblyFunction("far", far),
+    })
+
+
+def _late_divide_guest() -> AssemblyProgram:
+    """A ``div`` near the end whose result nothing reads: its 22-cycle
+    latency outlasts the front end, so the drain decides ``cycles``."""
+    body = [
+        _instr("li", "t0", 1000),
+        _instr("li", "t1", 7),
+        _instr("li", "t2", 20),
+        Label("Lspin"),
+        _instr("addi", "t2", "t2", -1),
+        _instr("bnez", "t2", "Lspin"),
+        _instr("div", "t3", "t0", "t1"),
+        _instr("li", "a0", 5),
+        _instr("jalr", "zero", "ra", 0),
+    ]
+    return AssemblyProgram(functions={"main": AssemblyFunction("main", body)})
+
+
+class TestCpuTimingRules:
+    """Guests aimed at timing rules the benchmarks may not reach, and the
+    rules for attaching a model to a machine."""
+
+    def test_lru_eviction_order_and_load_miss_penalty(self):
+        program = _line_cycling_guest()
+        ref = run_engine("reference", program)
+        run = run_engine("timed", program)
+        assert_runs_identical(run, ref, "nine lines through one cache set")
+        # More misses than the nine cold ones: evictions really happen.
+        assert ref.cpu.cache_misses > 9
+        assert 0 < ref.cpu.cache_hit_rate < 1
+
+    def test_branches_alias_in_the_predictor_table(self):
+        program = _aliasing_branches_guest()
+        assert len(decode_program(program)) > 4096
+        ref = run_engine("reference", program)
+        run = run_engine("timed", program)
+        assert_runs_identical(run, ref, "branches 4096 pcs apart")
+        # Sharing one counter, the taken branch mispredicts on almost every
+        # iteration; with a counter each, the two would mispredict twice.
+        assert ref.cpu.mispredictions > 30
+
+    def test_latency_drain_decides_cycles(self):
+        program = _late_divide_guest()
+        ref = run_engine("reference", program)
+        run = run_engine("timed", program)
+        assert_runs_identical(run, ref, "late divide")
+        ref_model = ref.machine.observers[0]
+        model = run.machine.observers[0]
+        assert max(ref_model.register_ready.values()) > ref_model.current_cycle
+        assert model.register_ready == ref_model.register_ready
+        assert model.current_cycle == ref_model.current_cycle
+        assert model.issued_this_cycle == ref_model.issued_this_cycle
+
+    @pytest.mark.parametrize("machine_cls", [Machine, TranslatedMachine],
+                             ids=["fast", "translated"])
+    def test_only_one_cpu_model_may_observe(self, machine_cls):
+        class Recorder:
+            def on_instruction(self, *event):
+                pass
+
+        program = microprogram()
+        for observers in ([Recorder()], [CpuTimingModel(), CpuTimingModel()]):
+            with pytest.raises(TypeError, match="ReferenceMachine"):
+                machine_cls(program, observers=observers)
+        ReferenceMachine(program, observers=[Recorder()], input_values=[77]).run()
+
+    def test_issue_width_below_one_is_rejected(self):
+        model = CpuTimingModel(CpuConfig(issue_width=0))
+        with pytest.raises(ValueError, match="issue_width"):
+            Machine(microprogram(), observers=[model], input_values=[77]).run()
+
+    def test_a_model_times_one_run(self):
+        program = microprogram()
+        model = CpuTimingModel()
+        machine = Machine(program, observers=[model], input_values=[77])
+        machine.run()
+        timed = model.finalize()
+        with pytest.raises(ValueError, match="already timed"):
+            machine.run()
+        with pytest.raises(ValueError, match="already timed"):
+            Machine(program, observers=[model], input_values=[77]).run()
+        assert model.finalize() == timed

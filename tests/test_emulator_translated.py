@@ -6,7 +6,7 @@ battery (microprogram, all 58 seed benchmarks, segment/fault parity) in
 properties: a 500-seed replay across every fuzz generator mode, the
 checked-in fuzz corpus, faults landing *mid-superblock* (instruction limits
 that expire inside a compiled region), segment boundaries pinned to the
-exact dynamic run length, the observer-forced interpreter fallback, and
+exact dynamic run length, the interpreter fallback a CPU model forces, and
 code-cache reuse across re-runs and machines.
 """
 
@@ -17,6 +17,7 @@ import pytest
 from engines import assert_runs_identical, run_engine
 from repro.backend import compile_module
 from repro.backend.isa import AssemblyFunction, AssemblyProgram, MachineInstr
+from repro.cpu import CpuTimingModel
 from repro.emulator import EmulationError, Machine, TranslatedMachine
 from repro.frontend import compile_source
 from repro.fuzz import load_corpus
@@ -129,31 +130,21 @@ class TestSegmentBoundaries:
                     segment_size=segment_size)
 
 
-class _CountingObserver:
-    def __init__(self):
-        self.events = []
-
-    def on_instruction(self, opcode, instruction_class, dest, sources,
-                       memory_address, is_store, branch_taken, pc):
-        self.events.append((opcode, instruction_class, dest, tuple(sources),
-                            memory_address, is_store, branch_taken, pc))
-
-
 class TestObserverFallback:
-    def test_observers_force_the_interpreter_path(self):
-        # With an observer attached the translator must take the inherited
-        # observed path: no superblock runs, and the per-instruction event
-        # stream is exactly the interpreter's.
+    def test_cpu_model_forces_the_interpreter_path(self):
+        # With a CpuTimingModel attached the translator must take the
+        # inherited timed loop: no superblock runs, and the model times the
+        # run exactly as it does on the fast interpreter.
         program = _compile(LOOP_SOURCE)
-        fast_obs, trans_obs = _CountingObserver(), _CountingObserver()
-        fast = Machine(program, observers=[fast_obs])
-        translated = TranslatedMachine(program, observers=[trans_obs])
+        fast_cpu, trans_cpu = CpuTimingModel(), CpuTimingModel()
+        fast = Machine(program, observers=[fast_cpu])
+        translated = TranslatedMachine(program, observers=[trans_cpu])
         assert fast.run() == translated.run()
-        assert trans_obs.events == fast_obs.events
-        # Superblocks compile lazily on first dispatch, so an observed run —
+        assert trans_cpu.finalize() == fast_cpu.finalize()
+        # Superblocks compile lazily on first dispatch, so a timed run —
         # which never enters the block dispatcher — leaves the cache empty.
         assert translated._tcache.compiled_blocks == 0, \
-            "observed run must not dispatch (or compile) superblocks"
+            "timed run must not dispatch (or compile) superblocks"
 
     def test_unobserved_run_actually_uses_superblocks(self):
         # The fallback test above is only meaningful if the fast path really
