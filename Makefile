@@ -119,6 +119,7 @@ docs-check:
 	$(PYTHON) -m repro --no-disk-cache run fibonacci --profile=-O2
 	$(PYTHON) -m repro --no-disk-cache measure loop-sum --profile=-O3
 	$(PYTHON) -m repro --no-disk-cache lower fibonacci --stats
+	$(PYTHON) -m repro --no-disk-cache autotune fibonacci --iterations 4 --json
 	$(PYTHON) -m repro passes
 	$(PYTHON) -m repro list benchmarks
 

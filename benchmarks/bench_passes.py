@@ -1,5 +1,5 @@
 """Pass-pipeline compile-time report: invalidation-aware analysis caching
-vs the ``--no-analysis-cache`` escape hatch.
+vs the ``analysis_cache=False`` escape hatch.
 
 Compiles every seed benchmark under both paper profiles (CPU-tuned ``-O3``
 and the zkVM-aware ``-O3-zkvm``) through two pipelines:
@@ -9,7 +9,7 @@ and the zkVM-aware ``-O3-zkvm``) through two pipelines:
   :class:`~repro.passes.analysis.AnalysisManager` with preserves-driven
   invalidation, CFG-version-validated predecessor/reachability maps, and
   no-op pass skipping;
-* ``fresh``   — the ``--no-analysis-cache`` escape hatch: identical code, but
+* ``fresh``   — the ``analysis_cache=False`` escape hatch: identical code, but
   every analysis and CFG query recomputed per use (the differential-testing
   oracle; byte-identical output to ``cached``).
 

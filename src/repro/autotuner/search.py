@@ -17,7 +17,6 @@ entire re-runs with the same seed — cost nothing to re-evaluate.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -26,9 +25,6 @@ from ..passes import PassConfig, available_passes
 from ..experiments.journal import CampaignJournal
 from ..experiments.profiles import Profile, custom_profile
 from ..experiments.runner import BenchmarkRunner
-
-#: Process-wide candidate-profile id supply (see evaluate_generation).
-_CANDIDATE_IDS = itertools.count()
 
 
 @dataclass
@@ -180,11 +176,8 @@ class GeneticAutotuner:
         """
         pairs = []
         for candidate in candidates:
-            # Names are unique across every tuner in the process: name-keyed
-            # runner caches must never alias two different candidates (the
-            # engine's content-addressed cache still dedups equal ones).
             pairs.append((benchmark,
-                          candidate.to_profile(f"tuned-{next(_CANDIDATE_IDS)}")))
+                          candidate.to_profile(f"tuned-{self.evaluations}")))
             self.evaluations += 1
         measurements = self.runner.measure_pairs(pairs, on_error="none")
         for candidate, measurement in zip(candidates, measurements):

@@ -30,9 +30,8 @@ content-addressed on-disk cache afterwards:
 * ``repro list KIND``      — enumerate benchmarks/suites/profiles/figures/tables.
 
 Global flags (before the subcommand) select the worker count, the cache
-directory, the emulator's instruction budget, the fault-tolerance knobs
-(``--job-timeout``, ``--retries``, ``--stats``) and the analysis-cache
-escape hatch (``--no-analysis-cache``).  ``--json`` on the reporting
+directory, the emulator's instruction budget and the fault-tolerance knobs
+(``--job-timeout``, ``--retries``, ``--stats``).  ``--json`` on the reporting
 subcommands emits machine-readable output for scripting.
 
 Long campaigns (``fuzz``, ``autotune``) survive interruption: ``Ctrl-C``
@@ -113,7 +112,7 @@ class UsageError(Exception):
 
 
 # -- engine / profile plumbing ------------------------------------------------
-def _make_engine(args, translate: bool = False):
+def _make_engine(args):
     from .experiments.engine import ExperimentEngine
     from .experiments.faults import RetryPolicy
 
@@ -122,22 +121,17 @@ def _make_engine(args, translate: bool = False):
         workers=args.workers,
         cache_dir=args.cache_dir,
         use_disk_cache=not args.no_disk_cache,
-        analysis_cache=not args.no_analysis_cache,
-        translate=translate,
         job_timeout=args.job_timeout,
         retry_policy=RetryPolicy(max_attempts=max(1, args.retries)),
     )
 
 
-def _resolve_profile(name: str):
-    from .experiments.profiles import profile_by_name, zkvm_aware_profile
-
+def _lookup(find, name: str):
+    """``find(name)``, reporting an unknown name as a usage error."""
     try:
-        if name.endswith("-zkvm"):
-            return zkvm_aware_profile(name[: -len("-zkvm")])
-        return profile_by_name(name)
+        return find(name)
     except KeyError as exc:
-        raise UsageError(f"unknown profile: {name}") from exc
+        raise UsageError(exc.args[0] if exc.args else str(exc)) from exc
 
 
 def _resolve_benchmarks(names: Sequence[str]) -> list[str]:
@@ -159,11 +153,7 @@ def _resolve_benchmarks(names: Sequence[str]) -> list[str]:
 def _check_benchmark(name: str) -> str:
     from .benchmarks import get_benchmark
 
-    try:
-        get_benchmark(name)
-    except KeyError as exc:
-        raise UsageError(exc.args[0] if exc.args else str(exc)) from exc
-    return name
+    return _lookup(get_benchmark, name).name
 
 
 # -- regenerator registry -----------------------------------------------------
@@ -220,13 +210,14 @@ def _call_regenerator(fn, runner, benchmarks, passes, **extra):
 
 # -- subcommands --------------------------------------------------------------
 def _cmd_compile(args) -> int:
+    from .experiments.profiles import profile_by_name
     from .ir.printer import format_module
     from .passes import PassManager
     from .ir import verify_module
 
     engine = _make_engine(args)
     _check_benchmark(args.benchmark)
-    profile = _resolve_profile(args.profile)
+    profile = _lookup(profile_by_name, args.profile)
     if args.ir:
         module = engine.frontend_module(args.benchmark).clone()
         if profile.passes:
@@ -239,70 +230,44 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiments.profiles import profile_by_name
+
     engine = _make_engine(args)
     benchmark_name = _check_benchmark(args.benchmark)
-    profile = _resolve_profile(args.profile)
-    if getattr(args, "translate", False) and getattr(args, "reference", False):
-        raise UsageError("--translate cannot be combined with --reference")
-    if getattr(args, "translate", False):
-        # Replay through the superblock-translating engine; the trace it
-        # prints is byte-for-byte what the interpreter would record.
-        import time as _time
-
-        from .benchmarks import get_benchmark
-        from .emulator import TranslatedMachine
-
-        benchmark = get_benchmark(benchmark_name)
-        program = engine.compile(benchmark_name, profile)
-        machine = TranslatedMachine(program,
-                                    max_instructions=engine.max_instructions,
-                                    input_values=benchmark.inputs)
-        start = _time.perf_counter()
-        trace = machine.run("main", benchmark.args)
-        elapsed = _time.perf_counter() - start
-        print(f"benchmark:     {benchmark_name} [translated superblocks]")
-        print(f"profile:       {profile.name}")
-        print(f"output:        {list(trace.output)}")
-        print(f"return value:  {trace.return_value}")
-        print(f"instructions:  {trace.instructions}")
-        print(f"throughput:    {trace.instructions / elapsed / 1e6:.2f} "
-              f"Minstr/s")
-        return 0
-    if getattr(args, "reference", False):
+    profile = _lookup(profile_by_name, args.profile)
+    label = benchmark_name
+    if args.reference:
         # Replay on the seed interpreter (the differential-testing oracle);
         # bypasses the measurement caches since nothing is persisted.
         from .benchmarks import get_benchmark
         from .emulator import ReferenceMachine
 
         benchmark = get_benchmark(benchmark_name)
-        program = engine.compile(benchmark_name, profile)
-        machine = ReferenceMachine(program,
+        machine = ReferenceMachine(engine.compile(benchmark_name, profile),
                                    max_instructions=engine.max_instructions,
                                    input_values=benchmark.inputs)
         trace = machine.run("main", benchmark.args)
-        print(f"benchmark:     {benchmark_name} [reference interpreter]")
-        print(f"profile:       {profile.name}")
-        print(f"output:        {list(trace.output)}")
-        print(f"return value:  {trace.return_value}")
-        print(f"instructions:  {trace.instructions}")
-        return 0
-    measurement = engine.measure(benchmark_name, profile)
-    trace = measurement.trace
-    print(f"benchmark:     {measurement.benchmark}")
-    print(f"profile:       {measurement.profile}")
+        label += " [reference interpreter]"
+    else:
+        trace = engine.measure(benchmark_name, profile).trace
+    print(f"benchmark:     {label}")
+    print(f"profile:       {profile.name}")
     print(f"output:        {list(trace.output)}")
     print(f"return value:  {trace.return_value}")
     print(f"instructions:  {trace.instructions}")
-    _report_engine(engine, full=args.engine_stats)
+    if not args.reference:
+        _report_engine(engine, full=args.engine_stats)
     return 0
 
 
 def _cmd_measure(args) -> int:
     from .analysis.reporting import format_table
+    from .experiments.profiles import profile_by_name
 
     engine = _make_engine(args)
     benchmarks = _resolve_benchmarks(args.benchmarks)
-    profiles = [_resolve_profile(name) for name in (args.profile or ["baseline"])]
+    profiles = [_lookup(profile_by_name, name)
+                for name in (args.profile or ["baseline"])]
     pairs = [(b, p) for b in benchmarks for p in profiles]
     measurements = engine.measure_pairs(pairs)
     if args.json:
@@ -321,32 +286,19 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
-    registry = _figure_registry()
+def _cmd_regenerate(args) -> int:
+    """``repro figure N`` and ``repro table N``."""
+    registry = args.registry()
     if args.number not in registry:
-        print(f"unknown figure {args.number!r}; available: "
+        print(f"unknown {args.command} {args.number!r}; available: "
               f"{', '.join(sorted(registry, key=int))}", file=sys.stderr)
         return 2
     engine = _make_engine(args)
     benchmarks = _resolve_benchmarks(args.benchmarks) if args.benchmarks else None
     result = _call_regenerator(registry[args.number], engine, benchmarks,
-                               args.passes, iterations=args.iterations,
-                               seed=args.seed)
-    _emit(result, as_json=args.json)
-    _report_engine(engine, full=args.engine_stats)
-    return 0
-
-
-def _cmd_table(args) -> int:
-    registry = _table_registry()
-    if args.number not in registry:
-        print(f"unknown table {args.number!r}; available: "
-              f"{', '.join(sorted(registry, key=int))}", file=sys.stderr)
-        return 2
-    engine = _make_engine(args)
-    benchmarks = _resolve_benchmarks(args.benchmarks) if args.benchmarks else None
-    result = _call_regenerator(registry[args.number], engine, benchmarks,
-                               args.passes)
+                               args.passes,
+                               iterations=getattr(args, "iterations", None),
+                               seed=getattr(args, "seed", None))
     _emit(result, as_json=args.json)
     _report_engine(engine, full=args.engine_stats)
     return 0
@@ -370,9 +322,7 @@ def _cmd_autotune(args) -> int:
     from .autotuner import GeneticAutotuner
     from .experiments.journal import JournalMismatch
 
-    # Candidate evaluation only consumes trace-derived zkVM metrics, so the
-    # measurement path runs on the translated engine by default.
-    engine = _make_engine(args, translate=not args.no_translate)
+    engine = _make_engine(args)
     tuner = GeneticAutotuner(runner=engine, seed=args.seed, zkvm=args.zkvm,
                              population_size=args.population,
                              size_weight=args.size_weight)
@@ -411,9 +361,10 @@ def _cmd_autotune(args) -> int:
 
 def _cmd_passes(args) -> int:
     from .analysis.reporting import format_table
+    from .experiments.profiles import profile_by_name
     from .passes import PassManager
 
-    profile = _resolve_profile(args.profile)
+    profile = _lookup(profile_by_name, args.profile)
     if not args.time:
         if args.json:
             _emit({"profile": profile.name, "passes": list(profile.passes)},
@@ -434,8 +385,7 @@ def _cmd_passes(args) -> int:
     ]
     for benchmark_name in benchmarks:
         module = engine.frontend_module(benchmark_name).clone()
-        manager = PassManager(profile.passes, profile.config,
-                              analysis_cache=not args.no_analysis_cache)
+        manager = PassManager(profile.passes, profile.config)
         manager.run(module)
         for timing in manager.timings:
             slot = slots[timing.index]
@@ -446,8 +396,7 @@ def _cmd_passes(args) -> int:
 
     if args.json:
         _emit({"profile": profile.name, "benchmarks": benchmarks,
-               "analysis_cache": not args.no_analysis_cache, "slots": slots},
-              as_json=True)
+               "slots": slots}, as_json=True)
         return 0
     rows = [[index, slot["name"], f"{slot['seconds'] * 1000:.2f}",
              slot["changed"], slot["computed"], slot["hits"],
@@ -466,16 +415,16 @@ def _cmd_passes(args) -> int:
          "invalidated", "drifted", "skipped"],
         rows,
         title=f"Pass pipeline timing — {profile.name} over "
-              f"{len(benchmarks)} benchmark(s), analysis cache "
-              f"{'on' if not args.no_analysis_cache else 'off'}"))
+              f"{len(benchmarks)} benchmark(s)"))
     return 0
 
 
 def _cmd_lower(args) -> int:
     from .analysis.reporting import format_table
+    from .experiments.profiles import profile_by_name
 
     engine = _make_engine(args)
-    profile = _resolve_profile(args.profile)
+    profile = _lookup(profile_by_name, args.profile)
     benchmarks = _resolve_benchmarks(args.benchmarks)
 
     if not args.stats:
@@ -512,9 +461,10 @@ def _cmd_lower(args) -> int:
 def _cmd_encode(args) -> int:
     from .analysis.reporting import format_table
     from .backend.encoding import encode_program
+    from .experiments.profiles import profile_by_name
 
     engine = _make_engine(args)
-    profile = _resolve_profile(args.profile)
+    profile = _lookup(profile_by_name, args.profile)
     benchmarks = _resolve_benchmarks(args.benchmarks)
 
     rows = []
@@ -645,10 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_CACHE_DIR or ~/.cache/repro/measurements)")
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="keep measurements in memory only")
-    parser.add_argument("--no-analysis-cache", action="store_true",
-                        help="recompute every pass-pipeline analysis from "
-                             "scratch (the seed pass manager's behaviour; "
-                             "used for differential testing)")
     parser.add_argument("--max-instructions", type=int, default=20_000_000,
                         help="emulator instruction budget per run")
     parser.add_argument("--job-timeout", type=float, default=None,
@@ -680,9 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", action="store_true",
                    help="replay on the seed reference interpreter "
                         "(slow; for differential debugging)")
-    p.add_argument("--translate", action="store_true",
-                   help="replay through the superblock-translating engine "
-                        "(same trace, several times faster)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("measure", help="measure benchmark × profile pairs")
@@ -702,14 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="autotuner seed (figure 6 only)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_regenerate, registry=_figure_registry)
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("number", help="1, 2, 3 or 6")
     p.add_argument("--benchmarks", nargs="+", default=None)
     p.add_argument("--passes", nargs="+", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_regenerate, registry=_table_registry)
 
     p = sub.add_parser("autotune", help="genetic search over pass sequences")
     p.add_argument("benchmark")
@@ -727,9 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue from the journal's last generation "
                         "(restores population, history and RNG state)")
-    p.add_argument("--no-translate", action="store_true",
-                   help="measure candidates on the interpreter instead of "
-                        "the (default) superblock-translating engine")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_autotune)
 

@@ -16,16 +16,12 @@ Three interchangeable execution paths live here:
 
 from .decoder import DecodedProgram, decode_program
 from .machine import EmulationError, Machine, run_program
-from .reference import ReferenceMachine, run_program_reference
-from .translate import (
-    TranslatedMachine, TranslationCache, run_program_translated,
-    translation_cache,
-)
+from .reference import ReferenceMachine
+from .translate import TranslatedMachine, TranslationCache, translation_cache
 from .trace import PAGE_SIZE, TraceStats
 
 __all__ = ["DecodedProgram", "decode_program",
            "EmulationError", "Machine", "ReferenceMachine",
            "TranslatedMachine", "TranslationCache",
-           "run_program", "run_program_reference",
-           "run_program_translated", "translation_cache",
+           "run_program", "translation_cache",
            "PAGE_SIZE", "TraceStats"]

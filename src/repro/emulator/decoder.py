@@ -33,7 +33,7 @@ verbatim copies of the seed's tables, so the differential tests compare two
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from ..backend.isa import (
     AssemblyProgram, Label, MachineInstr, OPCODE_CLASS, REGISTER_NUMBERS,
@@ -182,10 +182,6 @@ class DecodedProgram:
     #: Per-pc opcode string / instruction class (CPU latencies + stats folding).
     opcodes: list
     classes: list
-    #: Per-pc destination register name and source names, exactly as the
-    #: reference interpreter reports them to its observers.
-    dests: list
-    sources: list
     #: Control transfers whose label / callee did not resolve statically
     #: (pc -> name).  They fault at execution time — conditional branches
     #: only when taken — reproducing the reference interpreter's pre-fault
@@ -255,8 +251,6 @@ def _decode(program: AssemblyProgram) -> DecodedProgram:
     code: list = []
     opcodes: list = []
     classes: list = []
-    dests: list = []
-    sources: list = []
     unresolved: dict[int, str] = {}
 
     for pc, instr in enumerate(instructions):
@@ -265,8 +259,8 @@ def _decode(program: AssemblyProgram) -> DecodedProgram:
         opcodes.append(op)
         classes.append(OPCODE_CLASS.get(op))
         try:
-            decoded, dest, srcs = _decode_instr(op, ops, pc, labels, entries,
-                                                intern, unresolved)
+            decoded = _decode_instr(op, ops, pc, labels, entries, intern,
+                                    unresolved)
         except Exception as exc:
             # Mirror the reference's laziness for malformed operands too: it
             # only faults when the instruction executes, so malformed dead
@@ -274,114 +268,88 @@ def _decode(program: AssemblyProgram) -> DecodedProgram:
             # differ from the reference's raw unpack error.)
             decoded = _bad(f"malformed instruction {str(instr)!r}: {exc}",
                            emulation_error=False)
-            dest, srcs = None, []
-
         code.append(decoded)
-        dests.append(dest)
-        sources.append(srcs)
 
     return DecodedProgram(code=code, entries=entries, labels=labels,
-                          opcodes=opcodes, classes=classes, dests=dests,
-                          sources=sources, unresolved=unresolved, slots=slots)
+                          opcodes=opcodes, classes=classes,
+                          unresolved=unresolved, slots=slots)
 
 
 def _decode_instr(op, ops, pc, labels, entries, intern, unresolved):
-    """Lower one instruction; returns ``(decoded_tuple, dest_name, sources)``."""
-    dest: Optional[str] = None
-    srcs: list[str] = []
-
+    """Lower one instruction to its dispatch tuple."""
     if op in _ALU_RR_OPCODES:
-        dest, rs1, rs2 = ops
-        srcs = [rs1, rs2]
-        rd_s, rs1_s, rs2_s = intern(dest), intern(rs1), intern(rs2)
+        rd, rs1, rs2 = ops
         if op == "add":
-            decoded = (K_ADD, rd_s, rs1_s, rs2_s)
-        else:
-            decoded = (K_ALU_RR, rd_s, rs1_s, rs2_s, ALU_REG_IMPLS[op])
-    elif op == "addi":
-        dest, rs1, imm = ops
-        srcs = [rs1]
-        decoded = (K_ADDI, intern(dest), intern(rs1), imm)
-    elif op in _ALU_RI_OPCODES:
-        dest, rs1, imm = ops
-        srcs = [rs1]
+            return (K_ADD, intern(rd), intern(rs1), intern(rs2))
+        return (K_ALU_RR, intern(rd), intern(rs1), intern(rs2),
+                ALU_REG_IMPLS[op])
+    if op == "addi":
+        rd, rs1, imm = ops
+        return (K_ADDI, intern(rd), intern(rs1), imm)
+    if op in _ALU_RI_OPCODES:
+        rd, rs1, imm = ops
         prepare, apply = _ALU_IMM_DECODED[op]
-        decoded = (K_ALU_RI, intern(dest), intern(rs1), prepare(imm), apply)
-    elif op == "li":
-        dest = ops[0]
-        decoded = (K_LI, intern(dest), ops[1] & WORD_MASK)
-    elif op == "lui":
-        dest = ops[0]
-        decoded = (K_LI, intern(dest), (ops[1] << 12) & WORD_MASK)
-    elif op == "mv":
-        dest, rs1 = ops
-        srcs = [rs1]
-        decoded = (K_MV, intern(dest), intern(rs1))
-    elif op == "lw":
-        dest, offset, base = ops
-        srcs = [base]
-        decoded = (K_LW, intern(dest), offset, intern(base))
-    elif op == "sw":
+        return (K_ALU_RI, intern(rd), intern(rs1), prepare(imm), apply)
+    if op == "li":
+        return (K_LI, intern(ops[0]), ops[1] & WORD_MASK)
+    if op == "lui":
+        return (K_LI, intern(ops[0]), (ops[1] << 12) & WORD_MASK)
+    if op == "mv":
+        rd, rs1 = ops
+        return (K_MV, intern(rd), intern(rs1))
+    if op == "lw":
+        rd, offset, base = ops
+        return (K_LW, intern(rd), offset, intern(base))
+    if op == "sw":
         value_reg, offset, base = ops
-        srcs = [value_reg, base]
-        decoded = (K_SW, intern(value_reg), offset, intern(base))
-    elif op in _BRANCH_OPCODES:
+        return (K_SW, intern(value_reg), offset, intern(base))
+    if op in _BRANCH_OPCODES:
         rs1, rs2, label = ops
-        srcs = [rs1, rs2]
         target = labels.get(label, -1)
         if target < 0:
             unresolved[pc] = label
-        decoded = (K_BR, intern(rs1), intern(rs2), target, BRANCH_IMPLS[op])
-    elif op in ("beqz", "bnez"):
+        return (K_BR, intern(rs1), intern(rs2), target, BRANCH_IMPLS[op])
+    if op in ("beqz", "bnez"):
         rs1, label = ops
-        srcs = [rs1]
         target = labels.get(label, -1)
         if target < 0:
             unresolved[pc] = label
-        decoded = (K_BEQZ if op == "beqz" else K_BNEZ, intern(rs1), target)
-    elif op == "j":
+        return (K_BEQZ if op == "beqz" else K_BNEZ, intern(rs1), target)
+    if op == "j":
         label = ops[0]
         target = labels.get(label, -1)
         if target < 0:
             # Fault lazily at execution so the reference's pre-fault side
             # effects (the instruction and its taken-branch count) match.
             unresolved[pc] = label
-        decoded = (K_J, target)
-    elif op == "call":
-        dest = "ra"
+        return (K_J, target)
+    if op == "call":
         target = entries.get(ops[0], -1)
         if target < 0:
             unresolved[pc] = ops[0]
-        decoded = (K_CALL, target, pc + 1)
-    elif op == "jal":
-        dest, label = ops
+        return (K_CALL, target, pc + 1)
+    if op == "jal":
+        rd, label = ops
         target = labels.get(label, -1)
         if target < 0:
             unresolved[pc] = label
-        decoded = (K_JAL, intern(dest), target, pc + 1)
-    elif op == "jalr":
-        dest, base, offset = ops
-        srcs = [base]
-        decoded = (K_JALR, intern(dest), intern(base), offset, pc + 1)
-    elif op == "ecall":
-        dest = "a0"
-        srcs = ["a0", "a1", "a2", "a7"]
-        decoded = (K_ECALL,)
-    elif op == "nop":
-        decoded = (K_NOP,)
-    elif op == "ebreak":
-        decoded = _bad("guest executed ebreak (unreachable code)")
-    elif op in OPCODE_CLASS:
+        return (K_JAL, intern(rd), target, pc + 1)
+    if op == "jalr":
+        rd, base, offset = ops
+        return (K_JALR, intern(rd), intern(base), offset, pc + 1)
+    if op == "ecall":
+        return (K_ECALL,)
+    if op == "nop":
+        return (K_NOP,)
+    if op == "ebreak":
+        return _bad("guest executed ebreak (unreachable code)")
+    if op in OPCODE_CLASS:
         # Classified but not implemented by the emulator (lb, auipc, ...):
         # the reference counts the instruction, then faults.
-        decoded = _bad(f"unknown opcode: {op}")
-    else:
-        # Entirely unknown opcode: the reference faults inside classify()
-        # *before* recording the instruction, hence counted=False.
-        decoded = _bad(f"unknown opcode: {op}", counted=False,
-                       emulation_error=False)
-
-    return decoded, dest, srcs
+        return _bad(f"unknown opcode: {op}")
+    # Entirely unknown opcode: the reference faults inside classify()
+    # *before* recording the instruction, hence counted=False.
+    return _bad(f"unknown opcode: {op}", counted=False, emulation_error=False)
 
 
 def _bad(message: str, counted: bool = True,

@@ -795,19 +795,8 @@ def run_program(program: AssemblyProgram, entry: str = "main",
                 args: Optional[list[int]] = None,
                 observers: Iterable[CpuTimingModel] = (),
                 max_instructions: int = 50_000_000,
-                input_values: Optional[list[int]] = None,
-                translate: bool = False) -> TraceStats:
-    """Convenience wrapper: execute ``program`` and return its trace statistics.
-
-    With ``translate=True`` the superblock-translating engine
-    (:class:`~repro.emulator.translate.TranslatedMachine`) replays the
-    program instead; the trace is byte-for-byte identical either way.
-    """
-    if translate:
-        from .translate import TranslatedMachine
-        machine_cls = TranslatedMachine
-    else:
-        machine_cls = Machine
-    machine = machine_cls(program, max_instructions=max_instructions,
-                          observers=observers, input_values=input_values)
+                input_values: Optional[list[int]] = None) -> TraceStats:
+    """Convenience wrapper: execute ``program`` and return its trace statistics."""
+    machine = Machine(program, max_instructions=max_instructions,
+                      observers=observers, input_values=input_values)
     return machine.run(entry, args)

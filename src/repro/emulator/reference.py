@@ -361,14 +361,3 @@ _BRANCH_OPS = {
     "bltu": lambda a, b: a < b,
     "bgeu": lambda a, b: a >= b,
 }
-
-
-def run_program_reference(program: AssemblyProgram, entry: str = "main",
-                          args: Optional[list[int]] = None,
-                          observers: Iterable[Observer] = (),
-                          max_instructions: int = 50_000_000,
-                          input_values: Optional[list[int]] = None) -> TraceStats:
-    """Execute ``program`` on the reference interpreter; return its trace."""
-    machine = ReferenceMachine(program, max_instructions=max_instructions,
-                               observers=observers, input_values=input_values)
-    return machine.run(entry, args)

@@ -911,13 +911,3 @@ class TranslatedMachine(Machine):
                 tc[block_exit.taken_pc] += count
             xc[block_exit.slot] = 0
         super()._fold_stats()
-
-
-def run_program_translated(program, entry: str = "main",
-                           args: Optional[list] = None,
-                           max_instructions: int = 50_000_000,
-                           input_values: Optional[list] = None):
-    """Execute ``program`` through the superblock engine; return TraceStats."""
-    machine = TranslatedMachine(program, max_instructions=max_instructions,
-                                input_values=input_values)
-    return machine.run(entry, args)

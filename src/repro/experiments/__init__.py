@@ -15,7 +15,7 @@ from .profiles import (
 )
 from .runner import BenchmarkRunner, Measurement, percent_change, warm_matrix
 from .cache import CacheStats, MeasurementCache, measurement_fingerprint
-from .engine import EngineStats, ExperimentEngine, default_engine
+from .engine import EngineStats, ExperimentEngine
 from .faults import (
     FaultPlan, FaultSpec, JobFailure, PoisonJobError, RetryPolicy,
     TransientError, classify_error, fault_point,
@@ -32,7 +32,7 @@ __all__ = [
     "pass_profiles", "zkvm_aware_profile",
     "BenchmarkRunner", "Measurement", "percent_change", "warm_matrix",
     "CacheStats", "MeasurementCache", "measurement_fingerprint",
-    "EngineStats", "ExperimentEngine", "default_engine",
+    "EngineStats", "ExperimentEngine",
     "FaultPlan", "FaultSpec", "JobFailure", "PoisonJobError", "RetryPolicy",
     "TransientError", "classify_error", "fault_point",
     "CampaignJournal", "JournalMismatch", "default_journal_dir",

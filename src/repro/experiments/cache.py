@@ -118,7 +118,7 @@ def profile_recipe(profile: "Profile") -> dict:
 
 
 def measurement_fingerprint(benchmark: "Benchmark", profile: "Profile",
-                            max_instructions: int, verify: bool = False,
+                            max_instructions: int,
                             translate: bool = False) -> str:
     """Content hash identifying one measurement.
 
@@ -128,11 +128,7 @@ def measurement_fingerprint(benchmark: "Benchmark", profile: "Profile",
     memoized — per call only the (small) profile recipe is serialized — so
     cache probes stay cheap on regenerator hot paths.
     """
-    recipe = {
-        **profile_recipe(profile),
-        "max_instructions": max_instructions,
-        "verify": verify,
-    }
+    recipe = {**profile_recipe(profile), "max_instructions": max_instructions}
     if translate:
         # Translated measurements carry no CPU-model metrics (timing a run
         # takes the interpreter's timed loop, which superblocks skip), so

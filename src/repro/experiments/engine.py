@@ -36,16 +36,16 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .cache import MeasurementCache, measurement_fingerprint
+from .cache import MeasurementCache
 from .faults import (
     FAULT_PLAN_ENV, JobFailure, RetryPolicy, failure_from_exception,
     fault_point, worker_fault_init,
 )
 from .profiles import Profile
-from .runner import BenchmarkRunner, DEFAULT_PROGRAM_CACHE_SIZE, Measurement
+from .runner import BenchmarkRunner, Measurement
 
 #: Batches smaller than this run in-process: forking a pool costs more than it
 #: saves for one or two jobs.
@@ -64,22 +64,17 @@ _UNRESOLVED = object()
 def _compute_measurement_job(job) -> Measurement:
     """Pool worker entry point: compute one measurement from scratch.
 
-    ``job`` is ``(benchmark_name, profile, max_instructions, verify,
-    program_cache_size, analysis_cache, translate)``.  Runs in a separate
-    process; the only state shared with the parent is the picklable job
-    tuple and the returned :class:`Measurement`.
+    ``job`` is ``(benchmark_name, profile, max_instructions, translate)``.
+    Runs in a separate process; the only state shared with the parent is the
+    picklable job tuple and the returned :class:`Measurement`.
     """
-    (benchmark_name, profile, max_instructions, verify,
-     program_cache_size, analysis_cache, translate) = job
+    benchmark_name, profile, max_instructions, translate = job
     fault_point("measure-job", f"{benchmark_name}/{profile.name}")
-    key = (max_instructions, verify, program_cache_size, analysis_cache,
-           translate)
+    key = (max_instructions, translate)
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
         runner = _WORKER_RUNNERS[key] = BenchmarkRunner(
-            max_instructions=max_instructions, verify=verify,
-            program_cache_size=program_cache_size,
-            analysis_cache=analysis_cache, translate=translate)
+            max_instructions=max_instructions, translate=translate)
     return runner.measure(benchmark_name, profile, use_cache=False)
 
 
@@ -148,8 +143,8 @@ class ExperimentEngine(BenchmarkRunner):
 
     Single ``measure()`` calls are answered from the caches or computed
     in-process; only the batch APIs (:meth:`measure_pairs` /
-    :meth:`measure_many` / :meth:`map_jobs`) shard work across processes and
-    engage the retry/timeout/quarantine machinery.  Results are relabeled to
+    :meth:`map_jobs`) shard work across processes and engage the
+    retry/timeout/quarantine machinery.  Results are relabeled to
     the requesting profile's name, so content-equal profiles (say, an
     autotuner candidate that equals ``-O2``) share cache entries without
     leaking each other's names.  Jobs the engine gave up on are accumulated
@@ -157,19 +152,16 @@ class ExperimentEngine(BenchmarkRunner):
     :class:`~repro.experiments.faults.JobFailure` records.
     """
 
-    def __init__(self, max_instructions: int = 20_000_000, verify: bool = False,
+    def __init__(self, max_instructions: int = 20_000_000,
                  workers: Optional[int] = None,
                  cache: Optional[MeasurementCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk_cache: bool = True,
                  parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-                 program_cache_size: int = DEFAULT_PROGRAM_CACHE_SIZE,
-                 analysis_cache: bool = True, translate: bool = False,
+                 translate: bool = False,
                  job_timeout: Optional[float] = None,
                  retry_policy: Optional[RetryPolicy] = None):
-        super().__init__(max_instructions=max_instructions, verify=verify,
-                         program_cache_size=program_cache_size,
-                         analysis_cache=analysis_cache, translate=translate)
+        super().__init__(max_instructions=max_instructions, translate=translate)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if cache is None and use_disk_cache:
             cache = MeasurementCache(cache_dir)
@@ -181,19 +173,10 @@ class ExperimentEngine(BenchmarkRunner):
         self.stats = EngineStats()
         #: JobFailure records for every job this engine gave up on.
         self.failures: list[JobFailure] = []
-        self._memory: dict[str, Measurement] = {}
         self._pool = None
         self._parallel_disabled = False
 
     # -- cache plumbing ------------------------------------------------------
-    def fingerprint(self, benchmark_name: str, profile: Profile) -> str:
-        """The content hash this engine uses for one (benchmark, profile) job."""
-        from ..benchmarks import get_benchmark
-
-        return measurement_fingerprint(get_benchmark(benchmark_name), profile,
-                                       self.max_instructions, self.verify,
-                                       self.translate)
-
     def _lookup(self, key: str) -> Optional[Measurement]:
         """Memory-then-disk cache probe; promotes disk hits into memory."""
         measurement = self._memory.get(key)
@@ -205,52 +188,29 @@ class ExperimentEngine(BenchmarkRunner):
             if measurement is not None:
                 self.stats.disk_hits += 1
                 self._memory[key] = measurement
-                return measurement
-        return None
+        return measurement
 
     def _store(self, key: str, measurement: Measurement) -> None:
         self._memory[key] = measurement
         if self.cache is not None:
             self.cache.put(key, measurement)
 
-    @staticmethod
-    def _relabel(measurement: Measurement, benchmark_name: str,
-                 profile: Profile) -> Measurement:
-        """Return ``measurement`` under the requested display names."""
-        if (measurement.benchmark == benchmark_name
-                and measurement.profile == profile.name):
-            return measurement
-        return replace(measurement, benchmark=benchmark_name, profile=profile.name)
-
-    def reset_stats(self) -> None:
-        self.stats = EngineStats()
-        self.failures = []
-
-    def clear_disk_cache(self) -> int:
-        """Drop every persisted measurement; returns the entry count removed.
-
-        Safe on cache-less engines (``use_disk_cache=False``): reports 0.
-        """
-        return self.cache.clear() if self.cache is not None else 0
+    def _compute(self, benchmark_name: str, profile: Profile) -> Measurement:
+        measurement = super()._compute(benchmark_name, profile)
+        self.stats.computed += 1
+        return measurement
 
     # -- measurement ---------------------------------------------------------
     def measure(self, benchmark_name: str, profile: Profile,
                 use_cache: bool = True) -> Measurement:
-        """Measure one pair, consulting the memory and disk caches first.
+        """Measure one pair in-process, through the memory and disk caches.
 
-        ``use_cache=False`` forces a fresh computation and does not store the
-        result (matching :meth:`BenchmarkRunner.measure` semantics).
+        Same contract as :meth:`BenchmarkRunner.measure`; a computed pair
+        counts on ``stats.computed``.  Defined on this class, like
+        :meth:`measure_pairs` and :meth:`map_jobs`, so instrumentation can
+        wrap the engine's three entry points per class.
         """
-        key = self.fingerprint(benchmark_name, profile)
-        if use_cache:
-            cached = self._lookup(key)
-            if cached is not None:
-                return self._relabel(cached, benchmark_name, profile)
-        measurement = super().measure(benchmark_name, profile, use_cache=False)
-        self.stats.computed += 1
-        if use_cache:
-            self._store(key, measurement)
-        return measurement
+        return super().measure(benchmark_name, profile, use_cache)
 
     def measure_pairs(self, pairs: Sequence[tuple[str, Profile]],
                       use_cache: bool = True,
@@ -291,9 +251,7 @@ class ExperimentEngine(BenchmarkRunner):
             labels = []
             for key in keys:
                 benchmark_name, profile = pairs[pending[key][0]]
-                jobs.append((benchmark_name, profile,
-                             self.max_instructions, self.verify,
-                             self.program_cache_size, self.analysis_cache,
+                jobs.append((benchmark_name, profile, self.max_instructions,
                              self.translate))
                 labels.append(f"{benchmark_name}/{profile.name}")
             for key, outcome in zip(keys, self._compute_batch(jobs, labels)):
@@ -312,13 +270,6 @@ class ExperimentEngine(BenchmarkRunner):
                     benchmark_name, profile = pairs[index]
                     results[index] = self._relabel(outcome, benchmark_name, profile)
         return results
-
-    def measure_many(self, benchmark_names: list[str],
-                     profiles: list[Profile]) -> list[Measurement]:
-        """Measure the benchmark × profile cross product as one batched shard."""
-        pairs = [(benchmark_name, profile)
-                 for benchmark_name in benchmark_names for profile in profiles]
-        return self.measure_pairs(pairs)
 
     # -- generic batched jobs ------------------------------------------------
     def map_jobs(self, fn, jobs: Sequence, on_error: str = "raise",
@@ -360,9 +311,9 @@ class ExperimentEngine(BenchmarkRunner):
         def compute_serial(job):
             # In-process execution reuses this engine's parsed modules and
             # compiled-program cache; the fault hook mirrors the pool worker's.
+            # measure_pairs counts the outcome, so skip the counting override.
             fault_point("measure-job", f"{job[0]}/{job[1].name}")
-            return BenchmarkRunner.measure(self, job[0], job[1],
-                                           use_cache=False)
+            return BenchmarkRunner._compute(self, job[0], job[1])
 
         return self._map_batch(_compute_measurement_job, jobs, labels=labels,
                                serial_fn=compute_serial)
@@ -648,16 +599,4 @@ class ExperimentEngine(BenchmarkRunner):
             pass
 
 
-_DEFAULT_ENGINE: Optional[ExperimentEngine] = None
-
-
-def default_engine() -> ExperimentEngine:
-    """A process-wide shared engine with the default on-disk cache."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = ExperimentEngine()
-    return _DEFAULT_ENGINE
-
-
-__all__ = ["DEFAULT_PARALLEL_THRESHOLD", "EngineStats", "ExperimentEngine",
-           "default_engine"]
+__all__ = ["DEFAULT_PARALLEL_THRESHOLD", "EngineStats", "ExperimentEngine"]

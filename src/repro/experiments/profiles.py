@@ -87,8 +87,12 @@ def all_study_profiles() -> list[Profile]:
 
 
 def profile_by_name(name: str) -> Profile:
-    """Look up any study profile (baseline, a pass, a level, or ``-O3-zkvm``)."""
-    for profile in [*all_study_profiles(), zkvm_aware_profile()]:
+    """Look up any study profile: baseline, a pass, a level, or a level's
+    zkVM-aware variant (``-O3-zkvm``, ``-O2-zkvm``, ...)."""
+    level = name.removesuffix("-zkvm")
+    if level != name and level in OPTIMIZATION_LEVELS:
+        return zkvm_aware_profile(level)
+    for profile in all_study_profiles():
         if profile.name == name:
             return profile
     raise KeyError(f"unknown profile: {name}")

@@ -2,18 +2,20 @@
 and evaluate every metric the paper reports (cycle count, zkVM execution
 time, proving time for both zkVMs; native execution time on the CPU model).
 
-:class:`BenchmarkRunner` is the serial, in-memory-cached reference
-implementation.  The figure/table regenerators and the autotuner submit work
-through its batch API (:meth:`BenchmarkRunner.measure_pairs`), which the
-parallel, disk-cached :class:`~repro.experiments.engine.ExperimentEngine`
-subclass overrides to shard jobs across worker processes — substitute an
-engine anywhere a runner is accepted to parallelize and persist a study."""
+:func:`measure_program` is the one measurement step: replay a compiled
+program and cost its trace.  :class:`BenchmarkRunner` compiles registered
+benchmarks (:func:`compile_program`), measures them through that step and
+memoizes each measurement by content fingerprint.  The figure/table
+regenerators and the autotuner submit work through its batch API
+(:meth:`BenchmarkRunner.measure_pairs`), which the parallel, disk-cached
+:class:`~repro.experiments.engine.ExperimentEngine` subclass overrides to
+shard jobs across worker processes — substitute an engine anywhere a runner
+is accepted to parallelize and persist a study."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..backend import compile_module
@@ -21,9 +23,10 @@ from ..cpu import CpuTimingModel
 from ..cpu.x86_model import CpuMetrics
 from ..emulator import Machine, TraceStats
 from ..frontend import compile_source
-from ..ir import Module, verify_module
+from ..ir import Module
 from ..passes import PassManager
 from ..zkvm.models import ZKVMS, ZkvmMetrics
+from .cache import measurement_fingerprint, profile_recipe
 from .profiles import Profile, baseline_profile
 
 
@@ -91,13 +94,58 @@ def warm_matrix(runner: "BenchmarkRunner", benchmarks: list[str],
                           for benchmark in benchmarks for profile in profiles])
 
 
-#: Default capacity of the compiled-program cache (FIFO-evicted).  Compiled
+def compile_program(module: Module, profile: Profile):
+    """Optimize a copy of ``module`` under ``profile`` and lower it to RV32IM."""
+    module = module.clone()
+    if profile.passes:
+        PassManager(profile.passes, profile.config).run(module)
+    return compile_module(module, profile.cost_model)
+
+
+def measure_program(program, benchmark: str, profile: str,
+                    args: Optional[tuple] = None,
+                    inputs: Optional[tuple] = None,
+                    max_instructions: int = 20_000_000,
+                    translate: bool = False) -> Measurement:
+    """Run ``program`` from ``main`` and cost its trace: the measurement step.
+
+    The guest runs on :class:`~repro.emulator.Machine` with a fresh
+    :class:`~repro.cpu.CpuTimingModel` attached, so one run yields the
+    trace, both zkVM cost reports and the CPU timing.  ``translate=True``
+    runs it on the superblock engine instead, which records no CPU timing.
+    ``benchmark`` and ``profile`` only label the result.
+    """
+    if translate:
+        from ..emulator import TranslatedMachine
+
+        cpu_model = None
+        machine = TranslatedMachine(program, max_instructions=max_instructions,
+                                    input_values=inputs)
+    else:
+        cpu_model = CpuTimingModel()
+        machine = Machine(program, max_instructions=max_instructions,
+                          observers=[cpu_model], input_values=inputs)
+    trace = machine.run("main", args)
+    paging = (machine.page_in_events, machine.page_out_events)
+    return Measurement(
+        benchmark=benchmark,
+        profile=profile,
+        trace=trace,
+        risc0=ZKVMS["risc0"].evaluate(trace, *paging),
+        sp1=ZKVMS["sp1"].evaluate(trace, *paging),
+        cpu=cpu_model.finalize() if cpu_model is not None else None,
+        static_instructions=program.total_static_instructions(),
+        code_bytes=getattr(program, "code_sizes", None),
+    )
+
+
+#: Capacity of the compiled-program cache (FIFO-evicted).  Compiled
 #: ``AssemblyProgram`` objects carry their decoded instruction stream (see
 #: :func:`repro.emulator.decode_program`), so reusing the program object across
 #: measurements means each benchmark is compiled *and decoded* once per
 #: process — the autotuner's re-measured elites and every repeated baseline
 #: skip straight to the pre-decoded hot loop.
-DEFAULT_PROGRAM_CACHE_SIZE = 128
+PROGRAM_CACHE_SIZE = 128
 
 
 def _program_key(benchmark_name: str, profile: Profile) -> str:
@@ -108,8 +156,6 @@ def _program_key(benchmark_name: str, profile: Profile) -> str:
     name, so content-equal profiles (an autotuner candidate that rediscovers
     ``-O2``) share one compiled+decoded program.
     """
-    from .cache import profile_recipe
-
     return json.dumps({"benchmark": benchmark_name, **profile_recipe(profile)},
                       sort_keys=True, default=repr)
 
@@ -117,33 +163,30 @@ def _program_key(benchmark_name: str, profile: Profile) -> str:
 class BenchmarkRunner:
     """Compiles and measures benchmark programs under optimization profiles.
 
-    Compilation results are memoized per (benchmark, profile) so that the
-    table/figure regenerators can share work, and compiled programs are kept
+    Measurements are memoized by content fingerprint (:meth:`fingerprint`),
+    so the table/figure regenerators share work and content-equal profiles
+    share one measurement whatever their names.  Compiled programs are kept
     in a bounded content-keyed cache so their decoded instruction streams are
     reused across measurements (decode once per process).
     """
 
-    def __init__(self, max_instructions: int = 20_000_000, verify: bool = False,
-                 program_cache_size: int = DEFAULT_PROGRAM_CACHE_SIZE,
-                 analysis_cache: bool = True, translate: bool = False):
+    def __init__(self, max_instructions: int = 20_000_000,
+                 translate: bool = False):
         self.max_instructions = max_instructions
-        self.verify = verify
-        self.program_cache_size = program_cache_size
-        #: False routes every compile through the ``--no-analysis-cache``
-        #: escape hatch (the seed-semantics recompute-everything pipeline).
-        self.analysis_cache = analysis_cache
         #: True replays guest programs through the superblock-translating
-        #: :class:`~repro.emulator.translate.TranslatedMachine` — same
-        #: TraceStats/paging byte-for-byte, several times faster — at the
-        #: cost of the CPU timing model (``Measurement.cpu`` is None): an
-        #: attached ``CpuTimingModel`` makes every run take the
-        #: interpreter's timed loop instead of superblocks.  The autotuner
-        #: only consumes trace-derived zkVM metrics, so its measurement path
-        #: uses this.
+        #: :class:`~repro.emulator.translate.TranslatedMachine`: the same
+        #: TraceStats and paging byte for byte, but no CPU timing
+        #: (``Measurement.cpu`` is None), because timing a run takes the
+        #: interpreter's timed loop.  It is not faster on a cold run: on
+        #: Figure 6's autotune jobs (four benchmarks, 64 evaluations each,
+        #: two workers on a 2-core host) a run took 7.9-8.2 s against
+        #: 6.6-7.7 s on the timed interpreter, and the serial emulate step
+        #: 3.6-4.5 s against 2.3-2.5 s.
         self.translate = translate
         self._source_cache: dict[str, Module] = {}
-        self._measure_cache: dict[tuple[str, str], Measurement] = {}
         self._program_cache: dict[str, object] = {}
+        #: Measurements by :meth:`fingerprint`.
+        self._memory: dict[str, Measurement] = {}
 
     # -- compilation ---------------------------------------------------------
     def frontend_module(self, benchmark_name: str) -> Module:
@@ -171,72 +214,70 @@ class BenchmarkRunner:
             program = self._program_cache.get(key)
             if program is not None:
                 return program
-        module = self.frontend_module(benchmark_name).clone()
-        if profile.passes:
-            PassManager(profile.passes, profile.config,
-                        analysis_cache=self.analysis_cache).run(module)
-        if self.verify:
-            verify_module(module)
-        program = compile_module(module, profile.cost_model)
-        if use_cache and self.program_cache_size > 0:
-            while len(self._program_cache) >= self.program_cache_size:
+        program = compile_program(self.frontend_module(benchmark_name), profile)
+        if use_cache:
+            while len(self._program_cache) >= PROGRAM_CACHE_SIZE:
                 self._program_cache.pop(next(iter(self._program_cache)))
             self._program_cache[key] = program
         return program
 
     # -- measurement ----------------------------------------------------------
+    def fingerprint(self, benchmark_name: str, profile: Profile) -> str:
+        """The content hash of one (benchmark, profile) measurement."""
+        from ..benchmarks import get_benchmark
+
+        return measurement_fingerprint(get_benchmark(benchmark_name), profile,
+                                       self.max_instructions, self.translate)
+
     def measure(self, benchmark_name: str, profile: Profile,
                 use_cache: bool = True) -> Measurement:
         """Compile, emulate and cost one (benchmark, profile) pair.
 
-        Results are memoized per (benchmark, profile *name*) for the lifetime
-        of this runner; ``use_cache=False`` forces a fresh computation and
-        skips storing it.  The engine subclass replaces this name-keyed
-        memoization with content-addressed memory + disk caches.
+        Results are memoized by :meth:`fingerprint` for the lifetime of this
+        runner and come back under the requested names, so two profiles with
+        one recipe share a measurement and two recipes with one name do not.
+        ``use_cache=False`` computes afresh, stores nothing and hashes
+        nothing (the pool workers' path).
         """
-        key = (benchmark_name, profile.name)
-        if use_cache and key in self._measure_cache:
-            return self._measure_cache[key]
+        if not use_cache:
+            return self._compute(benchmark_name, profile)
+        key = self.fingerprint(benchmark_name, profile)
+        measurement = self._lookup(key)
+        if measurement is None:
+            measurement = self._compute(benchmark_name, profile)
+            self._store(key, measurement)
+        return self._relabel(measurement, benchmark_name, profile)
 
+    def _lookup(self, key: str) -> Optional[Measurement]:
+        return self._memory.get(key)
+
+    def _store(self, key: str, measurement: Measurement) -> None:
+        self._memory[key] = measurement
+
+    @staticmethod
+    def _relabel(measurement: Measurement, benchmark_name: str,
+                 profile: Profile) -> Measurement:
+        """Return ``measurement`` under the requested display names."""
+        if (measurement.benchmark == benchmark_name
+                and measurement.profile == profile.name):
+            return measurement
+        return replace(measurement, benchmark=benchmark_name, profile=profile.name)
+
+    def _compute(self, benchmark_name: str, profile: Profile) -> Measurement:
+        """Measure one pair from scratch, checking the guest's output."""
         from ..benchmarks import get_benchmark
 
         benchmark = get_benchmark(benchmark_name)
-        program = self.compile(benchmark_name, profile)
-        if self.translate:
-            from ..emulator import TranslatedMachine
-
-            cpu_model = None
-            machine = TranslatedMachine(
-                program, max_instructions=self.max_instructions,
-                input_values=benchmark.inputs)
-        else:
-            cpu_model = CpuTimingModel()
-            machine = Machine(program, max_instructions=self.max_instructions,
-                              observers=[cpu_model],
-                              input_values=benchmark.inputs)
-        trace = machine.run("main", benchmark.args)
+        measurement = measure_program(
+            self.compile(benchmark_name, profile), benchmark_name, profile.name,
+            benchmark.args, benchmark.inputs, self.max_instructions,
+            self.translate)
+        output = measurement.trace.output
         if benchmark.expected_output is not None and \
-                trace.output != benchmark.expected_output:
+                output != benchmark.expected_output:
             raise AssertionError(
-                f"{benchmark_name} under {profile.name}: output {trace.output} "
+                f"{benchmark_name} under {profile.name}: output {output} "
                 f"does not match expected {benchmark.expected_output}")
-
-        risc0 = ZKVMS["risc0"].evaluate(trace, machine.page_in_events,
-                                        machine.page_out_events)
-        sp1 = ZKVMS["sp1"].evaluate(trace, machine.page_in_events,
-                                    machine.page_out_events)
-        measurement = Measurement(
-            benchmark=benchmark_name,
-            profile=profile.name,
-            trace=trace,
-            risc0=risc0,
-            sp1=sp1,
-            cpu=cpu_model.finalize() if cpu_model is not None else None,
-            static_instructions=program.total_static_instructions(),
-            code_bytes=getattr(program, "code_sizes", None),
-        )
-        if use_cache:
-            self._measure_cache[key] = measurement
         return measurement
 
     def measure_pairs(self, pairs: list[tuple[str, Profile]],
@@ -269,13 +310,6 @@ class BenchmarkRunner:
                 else:
                     raise
         return results
-
-    def measure_many(self, benchmark_names: list[str],
-                     profiles: list[Profile]) -> list[Measurement]:
-        """Measure the benchmark × profile cross product (benchmark-major)."""
-        return self.measure_pairs([(benchmark_name, profile)
-                                   for benchmark_name in benchmark_names
-                                   for profile in profiles])
 
     def baseline(self, benchmark_name: str) -> Measurement:
         """The unoptimized reference measurement every gain is computed against."""

@@ -6,7 +6,10 @@ matrix first submits the whole matrix as one batch through the runner's
 ``measure_pairs`` API (:func:`~repro.experiments.runner.warm_matrix`), so an
 :class:`~repro.experiments.engine.ExperimentEngine` computes it in parallel
 and serves repeat runs from the on-disk measurement cache.  Table 3 and the
-case studies compile ad-hoc sources and bypass the runner entirely.
+case studies compile ad-hoc sources, so no runner caches them; they go
+through the same compile and measurement steps
+(:func:`~repro.experiments.runner.compile_program`,
+:func:`~repro.experiments.runner.measure_program`).
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from typing import Optional, Sequence
 
 from ..analysis.stats import kendall_tau, mean, pearson_r
 from ..frontend import compile_source
-from ..backend import compile_module
-from ..emulator import run_program
 from .figures import DEFAULT_BENCHMARKS, DEFAULT_PASSES
 from .profiles import baseline_profile, pass_profiles, profile_by_name
-from .runner import BenchmarkRunner, percent_change, warm_matrix
+from .runner import (
+    BenchmarkRunner, Measurement, compile_program, measure_program,
+    percent_change, warm_matrix,
+)
 
 
 def table1_gain_loss_counts(runner: Optional[BenchmarkRunner] = None,
@@ -137,45 +141,28 @@ def table3_manual_unrolling(factors: Sequence[int] = (4, 16)) -> dict:
     unroll factor >= 5) and compare instruction counts, zkVM metrics and the
     CPU model on both variants.
     """
-    from ..cpu import CpuTimingModel
-    from ..emulator import Machine
-    from ..zkvm.models import ZKVMS
-
-    def run(body: str) -> dict:
-        module = compile_source(_MATVEC_TEMPLATE.format(body=body), "table3")
-        program = compile_module(module)
-        cpu = CpuTimingModel()
-        machine = Machine(program, observers=[cpu])
-        trace = machine.run()
-        return {
-            "instructions": trace.instructions,
-            "risc0": ZKVMS["risc0"].evaluate(trace, machine.page_in_events,
-                                             machine.page_out_events),
-            "sp1": ZKVMS["sp1"].evaluate(trace, machine.page_in_events,
-                                         machine.page_out_events),
-            "cpu": cpu.finalize(),
-            "output": trace.output,
-        }
-
-    rolled = run(_ROLLED_BODY)
-    unrolled = run(_UNROLLED_BODY)
-    assert rolled["output"] == unrolled["output"], "unrolling changed the result"
+    rolled = _measure_source(_MATVEC_TEMPLATE.format(body=_ROLLED_BODY),
+                             module_name="table3")
+    unrolled = _measure_source(_MATVEC_TEMPLATE.format(body=_UNROLLED_BODY),
+                               module_name="table3")
+    assert rolled.trace.output == unrolled.trace.output, \
+        "unrolling changed the result"
 
     rows = {}
     for factor in factors:
         rows[factor] = {
-            "instruction_change": -percent_change(rolled["instructions"],
-                                                  unrolled["instructions"]),
-            "x86_exec_gain": percent_change(rolled["cpu"].execution_time,
-                                            unrolled["cpu"].execution_time),
-            "risc0_exec_gain": percent_change(rolled["risc0"].execution_time,
-                                              unrolled["risc0"].execution_time),
-            "risc0_prove_gain": percent_change(rolled["risc0"].proving_time,
-                                               unrolled["risc0"].proving_time),
-            "sp1_exec_gain": percent_change(rolled["sp1"].execution_time,
-                                            unrolled["sp1"].execution_time),
-            "sp1_prove_gain": percent_change(rolled["sp1"].proving_time,
-                                             unrolled["sp1"].proving_time),
+            "instruction_change": -percent_change(rolled.instructions,
+                                                  unrolled.instructions),
+            "x86_exec_gain": percent_change(rolled.cpu.execution_time,
+                                            unrolled.cpu.execution_time),
+            "risc0_exec_gain": percent_change(rolled.risc0.execution_time,
+                                              unrolled.risc0.execution_time),
+            "risc0_prove_gain": percent_change(rolled.risc0.proving_time,
+                                               unrolled.risc0.proving_time),
+            "sp1_exec_gain": percent_change(rolled.sp1.execution_time,
+                                            unrolled.sp1.execution_time),
+            "sp1_prove_gain": percent_change(rolled.sp1.proving_time,
+                                             unrolled.sp1.proving_time),
         }
     return rows
 
@@ -241,7 +228,8 @@ fn main() -> int {
   return acc;
 }
 """
-    return {"branchy": _measure_source(branchy), "branchless": _measure_source(branchless)}
+    return {"branchy": _case_summary(_measure_source(branchy)),
+            "branchless": _case_summary(_measure_source(branchless))}
 
 
 def case_study_loop_fission() -> dict:
@@ -267,55 +255,36 @@ fn main() -> int {
   return a[N - 1] + b[N - 1];
 }
 """
-    return {"fused": _measure_source(fused), "fissioned": _measure_source(fissioned)}
+    return {"fused": _case_summary(_measure_source(fused)),
+            "fissioned": _case_summary(_measure_source(fissioned))}
 
 
-def _measure_source(source: str, passes: Sequence[str] = ()) -> dict:
-    from ..cpu import CpuTimingModel
-    from ..emulator import Machine
-    from ..passes import run_passes
-    from ..zkvm.models import ZKVMS
+def _measure_source(source: str, profile: str = "baseline",
+                    module_name: str = "case-study") -> Measurement:
+    """Compile an ad-hoc MiniC program under a study profile and measure it."""
+    resolved = profile_by_name(profile)
+    program = compile_program(compile_source(source, module_name), resolved)
+    return measure_program(program, module_name, resolved.name)
 
-    module = compile_source(source, "case-study")
-    if passes:
-        module = run_passes(module, list(passes))
-    program = compile_module(module)
-    cpu = CpuTimingModel()
-    machine = Machine(program, observers=[cpu])
-    trace = machine.run()
+
+def _case_summary(m: Measurement) -> dict:
     return {
-        "instructions": trace.instructions,
-        "risc0": ZKVMS["risc0"].evaluate(trace, machine.page_in_events,
-                                         machine.page_out_events).as_dict(),
-        "sp1": ZKVMS["sp1"].evaluate(trace, machine.page_in_events,
-                                     machine.page_out_events).as_dict(),
-        "x86_execution": cpu.finalize().execution_time,
-        "output": list(trace.output),
+        "instructions": m.instructions,
+        "risc0": m.risc0.as_dict(),
+        "sp1": m.sp1.as_dict(),
+        "x86_execution": m.cpu.execution_time,
+        "output": list(m.trace.output),
     }
 
 
 def _compare_profiles(source: str, profile_a: str, profile_b: str) -> dict:
-    from ..passes import PassManager
-    from ..cpu import CpuTimingModel
-    from ..emulator import Machine
-    from ..zkvm.models import ZKVMS
-    from .profiles import profile_by_name, zkvm_aware_profile
-
     results = {}
     for name in (profile_a, profile_b):
-        profile = zkvm_aware_profile() if name.endswith("-zkvm") else profile_by_name(name)
-        module = compile_source(source, "case-study").clone()
-        if profile.passes:
-            PassManager(profile.passes, profile.config).run(module)
-        program = compile_module(module, profile.cost_model)
-        cpu = CpuTimingModel()
-        machine = Machine(program, observers=[cpu])
-        trace = machine.run()
+        m = _measure_source(source, name)
         results[name] = {
-            "instructions": trace.instructions,
-            "risc0_exec": ZKVMS["risc0"].evaluate(trace, machine.page_in_events,
-                                                  machine.page_out_events).execution_time,
-            "x86_exec": cpu.finalize().execution_time,
-            "output": list(trace.output),
+            "instructions": m.instructions,
+            "risc0_exec": m.risc0.execution_time,
+            "x86_exec": m.cpu.execution_time,
+            "output": list(m.trace.output),
         }
     return results

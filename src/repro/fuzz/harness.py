@@ -13,18 +13,21 @@ diverges is reported:
     function was running and how many steps executed);
 ``pipeline``
     the pass pipeline crashed, produced IR the verifier rejects, or the
-    analysis-cached pipeline and the ``--no-analysis-cache`` fresh pipeline
+    analysis-cached pipeline and the fresh (``analysis_cache=False``) pipeline
     produced different IR bytes;
 ``passes``
     the optimized module's IR-interpreter behaviour differs from the
     unoptimized module's (a semantic miscompile inside the pass pipeline);
 ``backend``
-    the backend crashed, or its compiled guest, replayed on the fast
-    emulator, disagrees with the IR interpreter;
+    the backend crashed, or its compiled guest, replayed on the emulator's
+    timed loop (the path every measurement takes), disagrees with the IR
+    interpreter;
 ``emulator``
-    the fast table-dispatch emulator or the superblock translator disagrees
+    the timed table-dispatch emulator or the superblock translator disagrees
     with the reference interpreter on outputs, memory or
-    :class:`TraceStats` for the same guest.
+    :class:`TraceStats` for the same guest, or the timed loop's
+    :class:`~repro.cpu.x86_model.CpuMetrics` differ from those of the
+    observer ``CpuTimingModel`` the reference interpreter drives.
 
 Every check runs under **both** paper profiles (``-O3`` and the zkVM-aware
 ``-O3-zkvm``), so the cost-model-specific backend paths are both exercised.
@@ -39,8 +42,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..backend import compile_module
+from ..cpu import CpuTimingModel
 from ..emulator import Machine, ReferenceMachine, TranslatedMachine
-from ..experiments.profiles import Profile, profile_by_name, zkvm_aware_profile
+from ..experiments.profiles import Profile, profile_by_name
 from ..frontend import compile_source
 from ..frontend.errors import FrontendError
 from ..ir import VerificationError, verify_module
@@ -109,15 +113,6 @@ class DifferentialReport:
                 "detail": self.detail, "interp_steps": self.interp_steps}
 
 
-def resolve_profile(profile: Union[str, Profile]) -> Profile:
-    """A study profile by name (``-O3-zkvm`` style included) or pass-through."""
-    if isinstance(profile, Profile):
-        return profile
-    if profile.endswith("-zkvm"):
-        return zkvm_aware_profile(profile[: -len("-zkvm")])
-    return profile_by_name(profile)
-
-
 def _behaviour(result: ExecutionResult) -> tuple:
     return (tuple(result.output), result.return_value)
 
@@ -163,9 +158,10 @@ def _localize_bad_pass(module, profile: Profile) -> Optional[str]:
     return None
 
 
-def _replay(program, entry: str, machine_cls, max_instructions: int):
-    machine = machine_cls(program, max_instructions=max_instructions)
-    stats = machine.run(entry)
+def _replay(program, machine_cls, max_instructions: int, observers=()):
+    machine = machine_cls(program, max_instructions=max_instructions,
+                          observers=observers)
+    stats = machine.run("main")
     return machine, stats
 
 
@@ -200,7 +196,8 @@ def run_differential(source: str,
     emu_budget = config.emulator_max_instructions
 
     for profile_like in config.profiles:
-        profile = resolve_profile(profile_like)
+        profile = profile_like if isinstance(profile_like, Profile) \
+            else profile_by_name(profile_like)
         name = profile.name
 
         # Stage 3: pass pipeline — crash, verifier, cached-vs-fresh bytes.
@@ -242,31 +239,36 @@ def run_differential(source: str,
                 interp_steps=steps)
 
         # Stage 5: the backend's guest must reproduce the IR behaviour.
+        # The replay times the run, as every measurement does.
+        timed_model = CpuTimingModel()
         try:
             program = compile_module(cached, profile.cost_model)
-            fast, fast_stats = _replay(program, "main", Machine, emu_budget)
+            timed, timed_stats = _replay(program, Machine, emu_budget,
+                                         [timed_model])
         except Exception as exc:  # noqa: BLE001 - compile/replay crash
             return DifferentialReport(ok=False, stage="backend", profile=name,
                                       detail=str(exc), interp_steps=steps)
-        behaviour = (tuple(fast.output), fast_stats.return_value)
+        behaviour = (tuple(timed.output), timed_stats.return_value)
         if behaviour != expected:
             return DifferentialReport(
                 ok=False, stage="backend", profile=name,
                 detail=_divergence(expected, behaviour), interp_steps=steps)
 
-        # Stage 6: stage 5's fast run and the translated engine vs the
+        # Stage 6: stage 5's timed run and the translated engine vs the
         # reference interpreter on the same guest — a three-way oracle, so
         # the superblock engine earns differential coverage from every fuzz
-        # campaign.
+        # campaign — and the timed loop's CPU metrics vs the observer model
+        # the reference drives.
+        ref_model = CpuTimingModel()
         try:
-            ref, ref_stats = _replay(program, "main", ReferenceMachine,
-                                     emu_budget)
-            trans, trans_stats = _replay(program, "main", TranslatedMachine,
+            ref, ref_stats = _replay(program, ReferenceMachine, emu_budget,
+                                     [ref_model])
+            trans, trans_stats = _replay(program, TranslatedMachine,
                                          emu_budget)
         except Exception as exc:  # noqa: BLE001
             return DifferentialReport(ok=False, stage="emulator", profile=name,
                                       detail=str(exc), interp_steps=steps)
-        for engine_name, machine, stats in (("fast", fast, fast_stats),
+        for engine_name, machine, stats in (("timed", timed, timed_stats),
                                             ("translated", trans,
                                              trans_stats)):
             if machine.output != ref.output or stats != ref_stats \
@@ -278,5 +280,10 @@ def run_differential(source: str,
                     detail=f"{engine_name} and reference emulators "
                            f"diverged on {what}",
                     interp_steps=steps)
+        if timed_model.finalize() != ref_model.finalize():
+            return DifferentialReport(
+                ok=False, stage="emulator", profile=name,
+                detail="timed and reference emulators diverged on CpuMetrics",
+                interp_steps=steps)
 
     return DifferentialReport(ok=True, interp_steps=steps)

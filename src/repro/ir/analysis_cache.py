@@ -5,9 +5,9 @@ The pass pipeline's analysis caching has two tiers: per-function analyses
 and the CFG metadata (predecessor maps) cached directly on
 :class:`~repro.ir.function.Function` and validated against its CFG version.
 The second tier is always coherent — every mutation of the block graph bumps
-the version — but the ``--no-analysis-cache`` escape hatch must reproduce the
-seed pass manager exactly, which recomputed every predecessor query from
-scratch.  :func:`cfg_cache_disabled` turns the second tier off for a scope so
+the version — but the ``PassManager(analysis_cache=False)`` escape hatch must
+reproduce the seed pass manager exactly, which recomputed every predecessor
+query from scratch.  :func:`cfg_cache_disabled` turns the second tier off for a scope so
 the fresh/differential path pays the same recomputation the seed did.
 """
 

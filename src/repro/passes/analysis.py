@@ -102,11 +102,6 @@ class AnalysisStats:
                              self.drifted - since.drifted,
                              self.skipped - since.skipped)
 
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "computed": self.computed,
-                "invalidated": self.invalidated, "drifted": self.drifted,
-                "skipped": self.skipped}
-
 
 class AnalysisManager:
     """Lazily computes and caches per-function analyses with invalidation.
@@ -116,8 +111,9 @@ class AnalysisManager:
     enabled:
         ``False`` turns the manager into a pure compute service: every request
         runs the analysis fresh and nothing is stored.  This is the
-        ``--no-analysis-cache`` escape hatch, reproducing the seed pass
-        manager's recompute-everything behaviour for differential testing.
+        ``PassManager(analysis_cache=False)`` escape hatch, reproducing the
+        seed pass manager's recompute-everything behaviour for differential
+        testing.
     verify:
         Debug mode: recompute each analysis on every cache hit and raise
         :class:`StaleAnalysisError` if the cached result no longer matches.

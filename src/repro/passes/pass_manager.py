@@ -91,11 +91,6 @@ class PassTiming:
     changed: bool
     analysis: AnalysisStats = field(default_factory=AnalysisStats)
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "index": self.index,
-                "seconds": self.seconds, "changed": self.changed,
-                "analysis": self.analysis.as_dict()}
-
 
 class Pass:
     """Base class of every optimization pass."""
@@ -324,14 +319,6 @@ class PassManager:
                 verify_module(module)
             changed |= pass_changed
         return changed
-
-    @property
-    def pass_names(self) -> list[str]:
-        return [p.name for p in self.passes]
-
-    def timing_report(self) -> list[dict]:
-        """Per-slot timing/cache records of the most recent run, as dicts."""
-        return [timing.as_dict() for timing in self.timings]
 
 
 def run_passes(module: Module, names: Iterable[str],

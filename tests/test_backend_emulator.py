@@ -15,7 +15,6 @@ from repro.backend.regalloc import (
     instr_registers,
 )
 from repro.emulator import EmulationError, Machine, run_program
-from repro.emulator.decoder import decode_program
 from repro.frontend import compile_source
 from repro.ir.interpreter import run_module
 from repro.passes import run_passes
@@ -92,8 +91,8 @@ class TestLowering:
 
 #: (opcode, operands) -> (expected def names, expected use names).  The
 #: classification must match what the instruction actually reads/writes when
-#: executed — i.e. the semantics in ``repro.emulator.decoder`` (see the
-#: cross-check below).  ``call``/``ecall`` write ``ra``/``a0`` as *implicit*
+#: executed — i.e. what the reference interpreter reports to its observers
+#: (see the cross-check below).  ``call``/``ecall`` write ``ra``/``a0`` as *implicit*
 #: fixed physical registers, never via operands, so they define nothing here.
 INSTR_REGISTER_TABLE = [
     ("add",   ["t0", "t1", "t2"],   ["t0"], ["t1", "t2"]),
@@ -141,31 +140,50 @@ class TestInstrRegisters:
 
     @pytest.mark.parametrize("opcode,operands,expected_defs,expected_uses",
                              INSTR_REGISTER_TABLE)
-    def test_matches_decoder_semantics(self, opcode, operands, expected_defs,
-                                       expected_uses, monkeypatch):
-        """The def/use split must agree with the executable semantics the
-        decoder reports (its per-pc dest/sources observer metadata)."""
-        from repro.backend.isa import AssemblyFunction, AssemblyProgram
+    def test_matches_reference_semantics(self, opcode, operands, expected_defs,
+                                         expected_uses):
+        """The def/use split must agree with the executable semantics: the
+        dest/sources the reference interpreter reports for the instruction."""
+        from repro.backend.isa import AssemblyFunction, AssemblyProgram, Label
+        from repro.backend.lowering import HOST_CALL_IDS
+        from repro.emulator import ReferenceMachine
 
         if opcode in ("lb", "sb", "sh", "ret", "ebreak"):
-            # Decoded to a lazy fault (or expanded before decode, for ret):
-            # the decoder carries no dest/source metadata to compare against.
-            pytest.skip("no executable decoder semantics for this opcode")
-        program = AssemblyProgram(functions={"f": AssemblyFunction(
-            "f", body=[MachineInstr(opcode, list(operands))])})
-        decoded = decode_program(program)
-        dest, sources = decoded.dests[0], decoded.sources[0]
-        # The decoder models the implicit architectural writes/reads of
-        # call/ecall (ra, a0/a7); instr_registers deliberately reports only
-        # *operand* registers — the allocator never assigns those.
+            # The reference faults on these before reporting the instruction
+            # (lowering expands ret, so it never reaches an emulator).
+            pytest.skip("no executable semantics for this opcode")
+        program = AssemblyProgram(functions={
+            "f": AssemblyFunction("f", body=[
+                Label(".L"), MachineInstr(opcode, list(operands))]),
+            "helper": AssemblyFunction("helper", body=[
+                MachineInstr("jalr", ["zero", "ra", 0])]),
+        })
+        events = []
+
+        class Recorder:
+            def on_instruction(self, opcode, instruction_class, dest, sources,
+                               *rest):
+                events.append((dest, sources))
+
+        # Execute exactly one instruction; a7 makes an ecall print a0.
+        machine = ReferenceMachine(program, max_instructions=1,
+                                   observers=[Recorder()])
+        try:
+            machine.run("f", [0] * 7 + [HOST_CALL_IDS["__print"]])
+        except EmulationError as exc:
+            assert "instruction limit" in str(exc)
+        [(dest, sources)] = events
+        # call/ecall write ra/a0 and ecall reads a0-a2/a7 implicitly;
+        # instr_registers deliberately reports only *operand* registers —
+        # the allocator never assigns those.
         if opcode in ("call", "ecall"):
             assert expected_defs == [] and expected_uses == []
             return
-        decoder_defs = [dest] if dest is not None else []
-        assert [operands[i] for i in instr_registers(
-            MachineInstr(opcode, list(operands)))[0]] == decoder_defs
-        assert [operands[i] for i in instr_registers(
-            MachineInstr(opcode, list(operands)))[1]] == sources
+        def_positions, use_positions = instr_registers(
+            MachineInstr(opcode, list(operands)))
+        assert [operands[i] for i in def_positions] == \
+            ([dest] if dest is not None else [])
+        assert [operands[i] for i in use_positions] == sources
 
 
 class TestPeephole:

@@ -79,6 +79,12 @@ class TestProfiles:
         with pytest.raises(KeyError):
             profile_by_name("-O9")
 
+    def test_profile_lookup_resolves_every_zkvm_aware_level(self):
+        assert profile_by_name("-O2-zkvm") == zkvm_aware_profile("-O2")
+        assert profile_by_name("-O3-zkvm") == zkvm_aware_profile()
+        with pytest.raises(KeyError, match="unknown profile: -O9-zkvm"):
+            profile_by_name("-O9-zkvm")
+
 
 class TestRunner:
     def test_optimized_profiles_preserve_benchmark_output(self, runner):

@@ -7,7 +7,10 @@ and everything under ``docs/`` stay honest:
   must point at a file that exists;
 * ``docs/GUIDE.md`` must document every ``repro`` subcommand and every
   global CLI flag (the drift this PR was born to fix: the CLI had grown to
-  nine subcommands with no user guide).
+  nine subcommands with no user guide);
+* every ``--flag`` README.md or ``docs/GUIDE.md`` names must exist on the
+  ``repro`` parser or one of its subcommands, so a removed flag cannot
+  linger in the docs.
 
 External (``http(s)://``) links are deliberately not fetched — the test
 suite runs offline.
@@ -15,6 +18,7 @@ suite runs offline.
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
@@ -96,6 +100,31 @@ def test_guide_covers_every_global_flag():
             if option.startswith("--"):
                 assert option in guide, \
                     f"docs/GUIDE.md does not document the global {option} flag"
+
+
+#: A ``--flag`` token in prose or a code block.
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> set:
+    """Every option string of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _parser_options(subparser)
+    return options
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/GUIDE.md"])
+def test_documented_flags_exist(doc):
+    from repro.cli import build_parser
+
+    options = _parser_options(build_parser())
+    text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+    unknown = sorted(set(_FLAG.findall(text)) - options)
+    assert not unknown, f"{doc} names flags `repro` does not have: {unknown}"
 
 
 def test_readme_links_to_guide():

@@ -139,6 +139,23 @@ class TestMeasurementCache:
         assert edited != first
 
 
+class TestRunnerMemo:
+    def test_same_name_different_recipe_is_measured_afresh(self):
+        runner = BenchmarkRunner()
+        runner.measure("polybench-gemm", custom_profile("cand", ["mem2reg"]))
+        second = runner.measure(
+            "polybench-gemm",
+            custom_profile("cand", ["mem2reg", "loop-unroll", "instcombine"]))
+        assert second.instructions == 37_051
+
+    def test_same_recipe_different_names_is_computed_once(self):
+        runner = BenchmarkRunner()
+        first = runner.measure("fibonacci", custom_profile("a", ["mem2reg"]))
+        second = runner.measure("fibonacci", custom_profile("b", ["mem2reg"]))
+        assert len(runner._memory) == 1 and second.trace is first.trace
+        assert (first.profile, second.profile) == ("a", "b")
+
+
 class TestEngine:
     def test_parallel_results_identical_to_serial(self, tmp_path):
         serial = BenchmarkRunner().measure_pairs(_pairs())
@@ -198,8 +215,8 @@ class TestEngine:
         assert warm.stats.computed == 0, "second invocation must be all cache hits"
 
     def test_shared_runner_tuners_do_not_alias_candidates(self):
-        # Two tuners on one name-keyed runner must not read each other's
-        # "tuned-N" measurements (candidate names are globally unique).
+        # Two tuners on one runner name their candidates alike ("tuned-N");
+        # the content-keyed memo must not hand one the other's measurement.
         from repro.autotuner import GeneticAutotuner
 
         shared = BenchmarkRunner()
@@ -269,13 +286,13 @@ class TestCli:
         assert self._run(tmp_path, "figure", "99") == 2
         assert self._run(tmp_path, "measure", "no-such-benchmark") == 2
 
-    def test_run_translate_smoke(self, tmp_path, capsys):
-        assert self._run(tmp_path, "run", "loop-sum", "--translate") == 0
-        out = capsys.readouterr().out
-        assert "[translated superblocks]" in out
-        assert "return value" in out
-
-    def test_run_translate_rejects_other_engines(self, tmp_path, capsys):
-        assert self._run(tmp_path, "run", "loop-sum", "--translate",
-                         "--reference") == 2
-        assert "--translate cannot be combined" in capsys.readouterr().err
+    def test_autotune_shares_the_figures_cache_entries(self, tmp_path,
+                                                       capsys):
+        # The autotuner measures on the same path as every other command,
+        # so the -O3 and baseline entries it stores serve `repro measure`.
+        assert self._run(tmp_path, "autotune", "loop-sum",
+                         "--iterations", "4") == 0
+        capsys.readouterr()
+        assert self._run(tmp_path, "measure", "loop-sum", "--profile=-O3",
+                         "--profile", "baseline") == 0
+        assert "computed=0" in capsys.readouterr().err

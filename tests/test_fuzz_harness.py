@@ -5,8 +5,8 @@ Planted-bug coverage: two deliberately evil passes are registered under
 buckets a semantic miscompile as ``passes`` and verifier-breaking IR as
 ``pipeline`` (naming the guilty pass when ``verify_each_pass`` is on), and
 that the reducer shrinks such failures while preserving the stage.  A
-patched backend and two patched emulators prove the ``backend`` and
-``emulator`` buckets the same way.
+patched backend, two patched emulators and a machine that skews its CPU
+model's totals prove the ``backend`` and ``emulator`` buckets the same way.
 """
 
 import pytest
@@ -123,6 +123,20 @@ def _diverging(machine_cls):
     return Diverging
 
 
+class SkewedTiming(Machine):
+    """Times a run, then adds one instruction to the model's totals.
+
+    The trace, outputs and memory stay exact, so only the comparison of the
+    timed loop's CpuMetrics with the reference's observer model can notice.
+    """
+
+    def run(self, *args, **kwargs):
+        stats = super().run(*args, **kwargs)
+        for model in self.observers:
+            model.instructions += 1
+        return stats
+
+
 class TestStepLimitExceeded:
     """Satellite: the step-limit error reports function + executed steps."""
 
@@ -193,7 +207,7 @@ class TestHarnessStages:
         assert report.detail == "return value: expected 0, got 1"
 
     @pytest.mark.parametrize("name, machine_cls", [
-        ("translated", TranslatedMachine), ("fast", Machine)])
+        ("translated", TranslatedMachine), ("timed", Machine)])
     def test_planted_emulator_fault_buckets_as_emulator(self, monkeypatch,
                                                         name, machine_cls):
         monkeypatch.setattr(harness, machine_cls.__name__,
@@ -202,6 +216,14 @@ class TestHarnessStages:
         assert not report.ok
         assert report.stage == "emulator"
         assert name in report.detail and "memory" in report.detail
+
+    def test_planted_cpu_timing_fault_buckets_as_emulator(self, monkeypatch):
+        monkeypatch.setattr(harness, "Machine", SkewedTiming)
+        report = run_differential(SMALL_SUM)
+        assert not report.ok
+        assert report.stage == "emulator"
+        assert report.detail == ("timed and reference emulators diverged on "
+                                 "CpuMetrics")
 
     def test_all_reported_stages_are_known(self):
         assert STAGES == ("frontend", "step-limit", "interp", "pipeline",

@@ -4,7 +4,7 @@ behaviourally invisible.
 For every seed benchmark and both paper profiles (the CPU-tuned ``-O3`` and
 the zkVM-aware ``-O3-zkvm``), the optimization pipeline runs twice — once
 with the :class:`~repro.passes.analysis.AnalysisManager` caching analyses
-(the default), once through the ``--no-analysis-cache`` escape hatch that
+(the default), once through the ``analysis_cache=False`` escape hatch that
 recomputes everything fresh, exactly as the seed pass manager did.  The two
 runs must produce byte-identical printed IR, and the compiled programs must
 produce identical emulator outputs and :class:`TraceStats`.

@@ -186,7 +186,7 @@ class TestPipelineOrderFuzz:
 
     25 pipelines drawn uniformly from ``available_passes()`` run over three
     small benchmarks, each through the caching pipeline and through the
-    ``--no-analysis-cache`` escape hatch.  Whatever the order — loop passes
+    ``analysis_cache=False`` escape hatch.  Whatever the order — loop passes
     before SSA construction, double inlining, reg2mem in the middle — the two
     must emit byte-identical IR and the result must verify.
     """
