@@ -77,8 +77,7 @@ def run_report(benchmarks=None, echo=print) -> dict:
         machine = Machine(program, max_instructions=MAX_INSTRUCTIONS,
                           input_values=benchmark.inputs)
         trace = machine.run("main", benchmark.args)
-        zkvm = {zkvm_name: ZKVMS[zkvm_name].evaluate(
-                    trace, machine.page_in_events, machine.page_out_events)
+        zkvm = {zkvm_name: ZKVMS[zkvm_name].evaluate(trace)
                 for zkvm_name in ("risc0", "sp1")}
         per_benchmark[name] = {
             "risc0_total_cycles": zkvm["risc0"].total_cycles,

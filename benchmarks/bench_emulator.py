@@ -155,10 +155,10 @@ def run_report(benchmarks=None, echo=print, translated=False,
             translated_s, trans_machine = _timed(translated_once, min_seconds)
             assert trans_machine.stats == ref_stats, \
                 f"translated engine diverged on {name}"
-            assert trans_machine.page_in_events == \
-                warm_machine.page_in_events, f"page-in events on {name}"
-            assert trans_machine.page_out_events == \
-                warm_machine.page_out_events, f"page-out events on {name}"
+            assert trans_machine.stats.page_in_events == \
+                warm_stats.page_in_events, f"page-in events on {name}"
+            assert trans_machine.stats.page_out_events == \
+                warm_stats.page_out_events, f"page-out events on {name}"
             assert trans_machine.memory == warm_machine.memory, \
                 f"final memory on {name}"
             data = per_benchmark[name]

@@ -38,7 +38,7 @@ def measure(module, label):
     print(f"  guest output        : {trace.output}")
     print(f"  dynamic instructions: {trace.instructions}")
     for name, model in ZKVMS.items():
-        metrics = model.evaluate(trace, machine.page_in_events, machine.page_out_events)
+        metrics = model.evaluate(trace)
         print(f"  {name:6s} cycles={metrics.total_cycles:>9d} "
               f"exec={metrics.execution_time * 1000:.3f} ms "
               f"prove={metrics.proving_time:.2f} s")

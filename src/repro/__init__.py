@@ -29,5 +29,5 @@ __version__ = "1.1.0"
 
 __all__ = [
     "frontend", "ir", "passes", "backend", "emulator", "zkvm", "cpu",
-    "benchmarks", "autotuner", "analysis", "experiments", "zkvm_aware",
+    "benchmarks", "autotuner", "analysis", "experiments",
 ]

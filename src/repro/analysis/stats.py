@@ -44,8 +44,3 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
         return 0.0
     r, _ = _scipy_stats.pearsonr(list(x), list(y))
     return 0.0 if math.isnan(r) else float(r)
-
-
-def concordance_probability(tau: float) -> float:
-    """The paper's interpretation aid: P(concordant) = (1 + tau) / 2."""
-    return (1.0 + tau) / 2.0

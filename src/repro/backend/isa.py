@@ -79,11 +79,6 @@ class MachineInstr:
         return self.opcode in JUMP_OPS
 
     @property
-    def is_load(self) -> bool:
-        """True for memory loads (``lw`` and the byte/half variants)."""
-        return self.opcode in LOAD_OPS
-
-    @property
     def is_store(self) -> bool:
         """True for memory stores (``sw``/``sb``/``sh``)."""
         return self.opcode in STORE_OPS

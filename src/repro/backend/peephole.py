@@ -75,11 +75,6 @@ def _new_stats() -> dict:
     }
 
 
-def _merge_stats(total: dict, part: dict) -> None:
-    for key, value in part.items():
-        total[key] = total.get(key, 0) + value
-
-
 # -- pre-allocation pass -------------------------------------------------------
 def run_peephole(asm, max_rounds: int = 4) -> dict:
     """Optimize ``asm`` (virtual-register form) in place; returns hit counts.

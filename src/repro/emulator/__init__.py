@@ -1,5 +1,5 @@
 """RISC-V guest emulator: replays compiled guest programs and records the
-execution trace statistics that the zkVM and CPU cost models consume.
+execution trace statistics that the zkVM cost models consume.
 
 Three interchangeable execution paths live here:
 

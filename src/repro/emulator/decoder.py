@@ -19,9 +19,8 @@ program instead, producing a flat stream of pre-decoded tuples:
 
 The decoded stream is immutable and carries no run state, so it is shared by
 every :class:`~repro.emulator.machine.Machine` replaying the same program:
-the result is cached on the ``AssemblyProgram`` instance, which is how the
-experiment engine, runner, autotuner and CLI all decode each benchmark once
-per process.
+the result is cached on the ``AssemblyProgram`` instance, so every replay of
+one program object shares one decode.
 
 Alongside the decoded kinds this module owns the fast machine's scalar
 operator tables (:data:`ALU_REG_IMPLS`, :data:`ALU_IMM_IMPLS`,
@@ -217,11 +216,12 @@ def _flatten(program: AssemblyProgram):
 def decode_program(program: AssemblyProgram) -> DecodedProgram:
     """Lower ``program`` to its decoded form, caching the result on the program.
 
-    The cache makes "decode once per process" automatic wherever the same
-    ``AssemblyProgram`` object is replayed repeatedly (experiment engine
-    re-measurements, CLI runs, benchmark harness reruns).  Mutating a
-    program's functions after its first emulation is not supported — recompile
-    instead (the compilation pipeline always produces fresh programs).
+    The cache makes "decode once per program" automatic wherever the same
+    ``AssemblyProgram`` object is replayed more than once (the fuzz harness's
+    timed and translated replays of one guest, benchmark harness reruns).
+    Mutating a program's functions after its first emulation is not
+    supported — recompile instead (the compilation pipeline always produces
+    fresh programs).
     """
     cached = getattr(program, "_decoded_cache", None)
     if cached is not None:

@@ -104,9 +104,8 @@ class Machine:
         self.memory: dict[int, int] = dict(self.program.globals_init)
         self.stats = TraceStats()
         self.output: list[int] = []
-        # Per-segment paging bookkeeping.
-        self.page_in_events = 0
-        self.page_out_events = 0
+        # Pages touched in the open segment (flushed into the stats' paging
+        # events at each segment boundary and at halt).
         self._segment_pages_read: set[int] = set()
         self._segment_pages_written: set[int] = set()
         # Deferred statistics: executions (and taken branches) per static
@@ -182,8 +181,6 @@ class Machine:
         regs = self.registers
         memory = self.memory
         mem_get = memory.get
-        pac = self.stats.page_access_counts
-        pac_get = pac.get
         seg_read_add = self._segment_pages_read.add
         seg_write_add = self._segment_pages_written.add
         ec = self._exec_counts
@@ -232,18 +229,14 @@ class Machine:
                     pc += 1
                 elif k == LW:
                     address = (regs[ins[3]] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_read_add(page)
+                    seg_read_add(address >> _PAGE_SHIFT)
                     rd = ins[1]
                     if rd:
                         regs[rd] = mem_get(address & 0xFFFFFFFC, 0) & M
                     pc += 1
                 elif k == SW:
                     address = (regs[ins[3]] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_write_add(page)
+                    seg_write_add(address >> _PAGE_SHIFT)
                     memory[address & 0xFFFFFFFC] = regs[ins[1]]
                     pc += 1
                 elif k == BR:
@@ -380,8 +373,6 @@ class Machine:
         regs = self.registers
         memory = self.memory
         mem_get = memory.get
-        pac = self.stats.page_access_counts
-        pac_get = pac.get
         seg_read_add = self._segment_pages_read.add
         seg_write_add = self._segment_pages_written.add
         ec = self._exec_counts
@@ -478,9 +469,7 @@ class Machine:
                 elif k == LW:
                     base = ins[3]
                     address = (regs[base] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_read_add(page)
+                    seg_read_add(address >> _PAGE_SHIFT)
                     r = ready[base]
                     if r > cycle:
                         cycle = r
@@ -508,9 +497,7 @@ class Machine:
                     rs = ins[1]
                     base = ins[3]
                     address = (regs[base] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_write_add(page)
+                    seg_write_add(address >> _PAGE_SHIFT)
                     memory[address & 0xFFFFFFFC] = regs[rs]
                     r = ready[rs]
                     r2 = ready[base]
@@ -771,8 +758,8 @@ class Machine:
         stats = self.stats
         stats.pages_read |= seg_read
         stats.pages_written |= seg_written
-        self.page_in_events += len(seg_read | seg_written)
-        self.page_out_events += len(seg_written)
+        stats.page_in_events += len(seg_read | seg_written)
+        stats.page_out_events += len(seg_written)
         seg_read.clear()
         seg_written.clear()
 

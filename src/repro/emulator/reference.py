@@ -73,8 +73,8 @@ class ReferenceMachine:
 
     Interprets one :class:`MachineInstr` at a time, exactly as the seed
     emulator did.  API-compatible with :class:`~repro.emulator.machine.Machine`
-    for everything the harness uses (``run``, ``stats``, ``output``,
-    ``page_in_events`` / ``page_out_events``, the host-call memory interface).
+    for everything the harness uses (``run``, ``stats`` with its paging
+    events, ``output``, the host-call memory interface).
     """
 
     def __init__(self, program: AssemblyProgram, max_instructions: int = 50_000_000,
@@ -101,9 +101,8 @@ class ReferenceMachine:
         self.memory: dict[int, int] = dict(self.program.globals_init)
         self.stats = TraceStats()
         self.output: list[int] = []
-        # Per-segment paging bookkeeping.
-        self.page_in_events = 0
-        self.page_out_events = 0
+        # Pages touched in the open segment (flushed into the stats' paging
+        # events at each segment boundary and at halt).
         self._segment_pages_read: set[int] = set()
         self._segment_pages_written: set[int] = set()
 
@@ -160,8 +159,9 @@ class ReferenceMachine:
         return stats
 
     def _flush_segment(self) -> None:
-        self.page_in_events += len(self._segment_pages_read | self._segment_pages_written)
-        self.page_out_events += len(self._segment_pages_written)
+        stats = self.stats
+        stats.page_in_events += len(self._segment_pages_read | self._segment_pages_written)
+        stats.page_out_events += len(self._segment_pages_written)
         self._segment_pages_read.clear()
         self._segment_pages_written.clear()
 

@@ -1,8 +1,9 @@
 """Execution-trace statistics collected while emulating a guest program.
 
-The zkVM cycle models and the CPU timing model both consume this summary, so
-one emulation run yields every metric the study needs (dynamic instruction
-counts by class, memory page touches per segment, branch/dependency events).
+:class:`TraceStats` is the one record of a guest run: the zkVM cost models
+read everything they charge from it (dynamic instruction counts by class,
+host calls, per-segment paging events), and the differential tests compare
+it whole across engines.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ class TraceStats:
     calls: int = 0
     #: Host calls by name (precompile usage).
     host_calls: dict = field(default_factory=dict)
-    #: Ordered list of (page, was_write) "first touches": a page appears once per
-    #: segment per kind.  Segments follow the zkVM cycle budget (see models).
-    page_touches: list = field(default_factory=list)
     #: Pages read / written over the whole execution (unique page numbers).
     pages_read: set = field(default_factory=set)
     pages_written: set = field(default_factory=set)
+    #: Paging events, counted per proving segment: a page touched in a
+    #: segment is paged in once, and paged out once if it was written there.
+    #: Segments follow the zkVM cycle budget (see ``repro.zkvm.models``).
+    page_in_events: int = 0
+    page_out_events: int = 0
     #: Total memory loads/stores.
     loads: int = 0
     stores: int = 0
@@ -43,8 +46,6 @@ class TraceStats:
     output: list = field(default_factory=list)
     #: The guest's return value (main's a0 at halt).
     return_value: int = 0
-    #: Memory access sequence folded into per-page counts.
-    page_access_counts: dict = field(default_factory=dict)
 
     def record_instruction(self, opcode: str, instruction_class: str) -> None:
         self.instructions += 1
@@ -53,7 +54,6 @@ class TraceStats:
 
     def record_memory(self, address: int, is_write: bool) -> None:
         page = address // PAGE_SIZE
-        self.page_access_counts[page] = self.page_access_counts.get(page, 0) + 1
         if is_write:
             self.stores += 1
             self.pages_written.add(page)

@@ -287,7 +287,6 @@ def compile_region(decoded: DecodedProgram, region: Region,
     namespace: dict = {}
     exits: list = []
     needs_memget = False
-    needs_pacget = False
 
     # Pre-pass: slots read before any write (these need a header load) and
     # the full ordered written set.
@@ -322,27 +321,26 @@ def compile_region(decoded: DecodedProgram, region: Region,
         for slot in reads_first + written_full:
             loads.append(f"    r{slot} = regs[{slot}]")
 
-    # Redundancy elimination for the memory-op bookkeeping (the dominant
-    # per-instruction cost).  Each access eagerly emits only its word-aligned
-    # address local ``w = (base + off) & 0xFFFFFFFC`` (reused for repeated
-    # (base-register *version*, offset) pairs; the page is just ``w >> 10``)
-    # plus the load/store itself.  The page bookkeeping — per-page access
-    # counts and the per-segment read/write page sets — is deferred to the
-    # next *flush point*: any point control can leave the straight-line run
-    # (a side exit's accesses-so-far must count even when the fall-through is
-    # not taken; nothing can fault in between, and a block never straddles a
+    # Redundancy elimination for the memory-op bookkeeping.  Each access
+    # eagerly emits only its word-aligned address local
+    # ``w = (base + off) & 0xFFFFFFFC`` (reused for repeated (base-register
+    # *version*, offset) pairs; the page is just ``w >> 10``) plus the
+    # load/store itself.  The page bookkeeping — adding the page to the
+    # segment's read or written set — is deferred to the next *flush point*:
+    # any point control can leave the straight-line run (a side exit's
+    # accesses-so-far must be recorded even when the fall-through is not
+    # taken; nothing can fault in between, and a block never straddles a
     # segment flush, so deferral is invisible).  At a flush, accesses are
     # grouped by base-register version; a group spanning several offsets
     # almost always lands on one page (stack frames, small array windows), so
     # the fast path is a single lowest-page == highest-page check (pages are
-    # monotone in the offset, wraparound falls through) followed by one
-    # merged count bump and one set add per kind, with the exact per-offset
-    # bookkeeping as the rare else-branch.
+    # monotone in the offset, wraparound falls through) followed by one set
+    # add per kind, with the exact per-offset adds as the rare else-branch.
     reg_gen: dict = {}         # slot -> version (bumped on every write)
     addr_cache: dict = {}      # (slot, version, offset) -> word-address local
     addr_seq = 0
     page_seq = 0
-    #: (slot, version) -> {offset: [w local, access count, reads?, writes?]}
+    #: (slot, version) -> {offset: [w local, reads?, writes?]}
     mem_pending: dict = {}
     #: Store-to-load forwarding / redundant-load elimination.  Keyed like the
     #: address cache by (base slot, base version, byte offset); the value is
@@ -393,9 +391,8 @@ def compile_region(decoded: DecodedProgram, region: Region,
             (base_slot, reg_gen.get(base_slot, 0)), {})
         record = group.get(offset)
         if record is None:
-            record = group[offset] = [word, 0, False, False]
-        record[1] += 1
-        record[2 + is_store] = True
+            record = group[offset] = [word, False, False]
+        record[1 + is_store] = True
         return word
 
     def value_current(entry) -> bool:
@@ -411,43 +408,32 @@ def compile_region(decoded: DecodedProgram, region: Region,
         value_cache[base_key + (offset,)] = (
             value, None if value == "0" else reg_gen.get(int(value[1:]), 0))
 
-    def emit_page(indent: str, word: str, count: int,
+    def emit_page(indent: str, page: str,
                   has_read: bool, has_write: bool) -> None:
-        nonlocal page_seq
-        page = f"p{page_seq}_"
-        page_seq += 1
-        lines.append(f"{indent}{page} = {word} >> {_PAGE_SHIFT}")
-        lines.append(f"{indent}pac[{page}] = pg({page}, 0) + {count}")
         if has_read:
             lines.append(f"{indent}srd({page})")
         if has_write:
             lines.append(f"{indent}swr({page})")
 
     def flush_mem() -> None:
-        nonlocal needs_pacget, page_seq
+        nonlocal page_seq
         for group in mem_pending.values():
-            needs_pacget = True
             items = sorted(group.items())
             if len(items) == 1:
-                word, count, has_read, has_write = items[0][1]
-                emit_page(bi, word, count, has_read, has_write)
+                word, has_read, has_write = items[0][1]
+                emit_page(bi, f"{word} >> {_PAGE_SHIFT}", has_read, has_write)
                 continue
-            total = sum(record[1] for _, record in items)
-            any_read = any(record[2] for _, record in items)
-            any_write = any(record[3] for _, record in items)
-            low, high = f"p{page_seq}_", f"p{page_seq + 1}_"
-            page_seq += 2
+            any_read = any(record[1] for _, record in items)
+            any_write = any(record[2] for _, record in items)
+            low = f"p{page_seq}_"
+            page_seq += 1
             lines.append(f"{bi}{low} = {items[0][1][0]} >> {_PAGE_SHIFT}")
-            lines.append(f"{bi}{high} = {items[-1][1][0]} >> {_PAGE_SHIFT}")
-            lines.append(f"{bi}if {low} == {high}:")
-            lines.append(f"{bi}    pac[{low}] = pg({low}, 0) + {total}")
-            if any_read:
-                lines.append(f"{bi}    srd({low})")
-            if any_write:
-                lines.append(f"{bi}    swr({low})")
+            lines.append(f"{bi}if {low} == {items[-1][1][0]} >> {_PAGE_SHIFT}:")
+            emit_page(bi + "    ", low, any_read, any_write)
             lines.append(f"{bi}else:")
-            for _, (word, count, has_read, has_write) in items:
-                emit_page(bi + "    ", word, count, has_read, has_write)
+            for _, (word, has_read, has_write) in items:
+                emit_page(bi + "    ", f"{word} >> {_PAGE_SHIFT}",
+                          has_read, has_write)
         mem_pending.clear()
 
     def emit_exit(indent: str, count: int, pcs: tuple,
@@ -580,11 +566,9 @@ def compile_region(decoded: DecodedProgram, region: Region,
                   str(region.final_pc),
                   backedge=(region.final_pc == entry))
 
-    header = ["def _superblock(regs, memory, pac, srd, swr, xc, fuel):"]
+    header = ["def _superblock(regs, memory, srd, swr, xc, fuel):"]
     if needs_memget:
         header.append("    mg = memory.get")
-    if needs_pacget:
-        header.append("    pg = pac.get")
     body = list(loads)
     if loop_form:
         body.append("    base = 0")
@@ -704,8 +688,6 @@ class TranslatedMachine(Machine):
         regs = self.registers
         memory = self.memory
         mem_get = memory.get
-        pac = self.stats.page_access_counts
-        pac_get = pac.get
         seg_read_add = self._segment_pages_read.add
         seg_write_add = self._segment_pages_written.add
         ec = self._exec_counts
@@ -740,7 +722,7 @@ class TranslatedMachine(Machine):
                     room = limit - executed
                     fuel = seg_left if seg_left < room else room
                     if lens[pc] <= fuel:
-                        packed = fn(regs, memory, pac, seg_read_add,
+                        packed = fn(regs, memory, seg_read_add,
                                     seg_write_add, xc, fuel)
                         n = packed >> 32
                         executed += n
@@ -781,18 +763,14 @@ class TranslatedMachine(Machine):
                     pc += 1
                 elif k == LW:
                     address = (regs[ins[3]] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_read_add(page)
+                    seg_read_add(address >> _PAGE_SHIFT)
                     rd = ins[1]
                     if rd:
                         regs[rd] = mem_get(address & 0xFFFFFFFC, 0) & M
                     pc += 1
                 elif k == SW:
                     address = (regs[ins[3]] + ins[2]) & M
-                    page = address >> _PAGE_SHIFT
-                    pac[page] = pac_get(page, 0) + 1
-                    seg_write_add(page)
+                    seg_write_add(address >> _PAGE_SHIFT)
                     memory[address & 0xFFFFFFFC] = regs[ins[1]]
                     pc += 1
                 elif k == BR:

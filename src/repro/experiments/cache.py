@@ -50,8 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Version 2 wraps every entry in a ``(schema, measurement)`` envelope so a
 #: reader can reject entries written by an incompatible format instead of
 #: unpickling them blind.  Version 3 adds ``Measurement.code_bytes`` (the
-#: byte-accurate RV32/RVC code-size pair).
-CACHE_SCHEMA_VERSION = 3
+#: byte-accurate RV32/RVC code-size pair).  Version 4 moves the paging events
+#: onto ``TraceStats``, drops its per-page access histogram and drops
+#: ``ZkvmMetrics.detail``.
+CACHE_SCHEMA_VERSION = 4
 
 
 def default_cache_dir() -> Path:
@@ -106,9 +108,8 @@ def _benchmark_blob(benchmark: "Benchmark") -> str:
 def profile_recipe(profile: "Profile") -> dict:
     """The profile ingredients that shape generated code (name excluded).
 
-    Single source of truth shared by :func:`measurement_fingerprint` and the
-    runner's compiled-program cache key, so a new code-shaping ``Profile``
-    field can never invalidate one cache but not the other.
+    The recipe half of :func:`measurement_fingerprint`: a new code-shaping
+    ``Profile`` field belongs here, so it changes the fingerprint.
     """
     return {
         "passes": profile.passes,

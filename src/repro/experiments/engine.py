@@ -52,9 +52,7 @@ from .runner import BenchmarkRunner, Measurement
 DEFAULT_PARALLEL_THRESHOLD = 2
 
 #: Per-process runner reuse inside pool workers, so one worker measuring many
-#: profiles of the same benchmark parses/compiles the frontend module once —
-#: and, through the runner's compiled-program cache, decodes each compiled
-#: program into the emulator's dispatch stream once per worker process.
+#: profiles of the same benchmark parses the frontend module once.
 _WORKER_RUNNERS: dict = {}
 
 #: Sentinel marking a batch slot whose outcome is not decided yet.
@@ -309,8 +307,8 @@ class ExperimentEngine(BenchmarkRunner):
         """Run measurement jobs; a Measurement or JobFailure per job, in order."""
 
         def compute_serial(job):
-            # In-process execution reuses this engine's parsed modules and
-            # compiled-program cache; the fault hook mirrors the pool worker's.
+            # In-process execution reuses this engine's parsed modules; the
+            # fault hook mirrors the pool worker's.
             # measure_pairs counts the outcome, so skip the counting override.
             fault_point("measure-job", f"{job[0]}/{job[1].name}")
             return BenchmarkRunner._compute(self, job[0], job[1])

@@ -15,6 +15,7 @@ from ..backend.cost_model import CPU_COST_MODEL, ZKVM_COST_MODEL, TargetCostMode
 from ..passes import (
     OPTIMIZATION_LEVELS, PassConfig, available_passes, config_for_level,
 )
+from ..passes.pipelines import ZKVM_DISABLED_PASSES
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def level_profiles() -> list[Profile]:
 def zkvm_aware_profile(level: str = "-O3") -> Profile:
     """The paper's modified -O3 (Change Sets 1-3)."""
     passes = tuple(p for p in OPTIMIZATION_LEVELS[level]
-                   if p not in ("speculative-execution",))
+                   if p not in ZKVM_DISABLED_PASSES)
     return Profile(name=f"{level}-zkvm", passes=passes,
                    config=config_for_level(level, zkvm_aware=True),
                    cost_model=ZKVM_COST_MODEL, kind="zkvm-aware")

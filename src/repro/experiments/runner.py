@@ -5,16 +5,15 @@ time, proving time for both zkVMs; native execution time on the CPU model).
 :func:`measure_program` is the one measurement step: replay a compiled
 program and cost its trace.  :class:`BenchmarkRunner` compiles registered
 benchmarks (:func:`compile_program`), measures them through that step and
-memoizes each measurement by content fingerprint.  The figure/table
-regenerators and the autotuner submit work through its batch API
-(:meth:`BenchmarkRunner.measure_pairs`), which the parallel, disk-cached
-:class:`~repro.experiments.engine.ExperimentEngine` subclass overrides to
-shard jobs across worker processes — substitute an engine anywhere a runner
-is accepted to parallelize and persist a study."""
+memoizes each measurement (not the compiled program) by content
+fingerprint.  The figure/table regenerators and the autotuner submit work
+through its batch API (:meth:`BenchmarkRunner.measure_pairs`), which the
+parallel, disk-cached :class:`~repro.experiments.engine.ExperimentEngine`
+subclass overrides to shard jobs across worker processes — substitute an
+engine anywhere a runner is accepted to parallelize and persist a study."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -26,7 +25,7 @@ from ..frontend import compile_source
 from ..ir import Module
 from ..passes import PassManager
 from ..zkvm.models import ZKVMS, ZkvmMetrics
-from .cache import measurement_fingerprint, profile_recipe
+from .cache import measurement_fingerprint
 from .profiles import Profile, baseline_profile
 
 
@@ -126,38 +125,16 @@ def measure_program(program, benchmark: str, profile: str,
         machine = Machine(program, max_instructions=max_instructions,
                           observers=[cpu_model], input_values=inputs)
     trace = machine.run("main", args)
-    paging = (machine.page_in_events, machine.page_out_events)
     return Measurement(
         benchmark=benchmark,
         profile=profile,
         trace=trace,
-        risc0=ZKVMS["risc0"].evaluate(trace, *paging),
-        sp1=ZKVMS["sp1"].evaluate(trace, *paging),
+        risc0=ZKVMS["risc0"].evaluate(trace),
+        sp1=ZKVMS["sp1"].evaluate(trace),
         cpu=cpu_model.finalize() if cpu_model is not None else None,
         static_instructions=program.total_static_instructions(),
         code_bytes=getattr(program, "code_sizes", None),
     )
-
-
-#: Capacity of the compiled-program cache (FIFO-evicted).  Compiled
-#: ``AssemblyProgram`` objects carry their decoded instruction stream (see
-#: :func:`repro.emulator.decode_program`), so reusing the program object across
-#: measurements means each benchmark is compiled *and decoded* once per
-#: process — the autotuner's re-measured elites and every repeated baseline
-#: skip straight to the pre-decoded hot loop.
-PROGRAM_CACHE_SIZE = 128
-
-
-def _program_key(benchmark_name: str, profile: Profile) -> str:
-    """Content key for a compiled program: everything that shapes the code.
-
-    Keyed by the profile's *recipe* (passes, config, cost model — shared with
-    :func:`~repro.experiments.cache.measurement_fingerprint`), not its display
-    name, so content-equal profiles (an autotuner candidate that rediscovers
-    ``-O2``) share one compiled+decoded program.
-    """
-    return json.dumps({"benchmark": benchmark_name, **profile_recipe(profile)},
-                      sort_keys=True, default=repr)
 
 
 class BenchmarkRunner:
@@ -165,9 +142,10 @@ class BenchmarkRunner:
 
     Measurements are memoized by content fingerprint (:meth:`fingerprint`),
     so the table/figure regenerators share work and content-equal profiles
-    share one measurement whatever their names.  Compiled programs are kept
-    in a bounded content-keyed cache so their decoded instruction streams are
-    reused across measurements (decode once per process).
+    share one measurement whatever their names.  A repeated recipe is
+    answered from that memo, so compiled programs are not kept: each
+    :meth:`compile` compiles afresh.  Frontend modules are kept per
+    benchmark, since every profile of a benchmark starts from the same one.
     """
 
     def __init__(self, max_instructions: int = 20_000_000,
@@ -184,7 +162,6 @@ class BenchmarkRunner:
         #: 3.6-4.5 s against 2.3-2.5 s.
         self.translate = translate
         self._source_cache: dict[str, Module] = {}
-        self._program_cache: dict[str, object] = {}
         #: Measurements by :meth:`fingerprint`.
         self._memory: dict[str, Measurement] = {}
 
@@ -199,27 +176,9 @@ class BenchmarkRunner:
                 benchmark.source, module_name=benchmark_name)
         return self._source_cache[benchmark_name]
 
-    def compile(self, benchmark_name: str, profile: Profile,
-                use_cache: bool = True):
-        """Apply the profile's passes and lower to RV32IM.
-
-        The compiled ``AssemblyProgram`` is cached by content key so repeated
-        measurements of the same recipe reuse one program object — and with
-        it the emulator's per-program decoded instruction stream.  Emulation
-        never mutates the program (machines copy ``globals_init``), so the
-        shared object is safe across runs.
-        """
-        key = _program_key(benchmark_name, profile)
-        if use_cache:
-            program = self._program_cache.get(key)
-            if program is not None:
-                return program
-        program = compile_program(self.frontend_module(benchmark_name), profile)
-        if use_cache:
-            while len(self._program_cache) >= PROGRAM_CACHE_SIZE:
-                self._program_cache.pop(next(iter(self._program_cache)))
-            self._program_cache[key] = program
-        return program
+    def compile(self, benchmark_name: str, profile: Profile):
+        """Apply the profile's passes and lower to RV32IM."""
+        return compile_program(self.frontend_module(benchmark_name), profile)
 
     # -- measurement ----------------------------------------------------------
     def fingerprint(self, benchmark_name: str, profile: Profile) -> str:

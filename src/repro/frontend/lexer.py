@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import LexerError
 
@@ -112,10 +111,3 @@ def tokenize(source: str) -> list[Token]:
 
     tokens.append(Token("eof", "", line, column))
     return tokens
-
-
-def token_values(source: str) -> Iterator[str]:
-    """Yield the raw token values of a source string (testing helper)."""
-    for token in tokenize(source):
-        if token.kind != "eof":
-            yield token.value

@@ -25,7 +25,8 @@ diverges is reported:
 ``emulator``
     the timed table-dispatch emulator or the superblock translator disagrees
     with the reference interpreter on outputs, memory or
-    :class:`TraceStats` for the same guest, or the timed loop's
+    :class:`TraceStats` (the per-segment paging events RISC Zero charges
+    for included) for the same guest, or the timed loop's
     :class:`~repro.cpu.x86_model.CpuMetrics` differ from those of the
     observer ``CpuTimingModel`` the reference interpreter drives.
 

@@ -61,12 +61,6 @@ class IRBuilder:
     def urem(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self.binop("urem", lhs, rhs, name)
 
-    def and_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binop("and", lhs, rhs, name)
-
-    def or_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
-        return self.binop("or", lhs, rhs, name)
-
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> BinaryOp:
         return self.binop("xor", lhs, rhs, name)
 

@@ -58,11 +58,6 @@ class Loop:
                     exits.append(succ)
         return exits
 
-    def exiting_blocks(self) -> list[BasicBlock]:
-        """Blocks inside the loop with a successor outside the loop."""
-        return [b for b in self.blocks
-                if any(s not in self.blocks for s in b.successors)]
-
     def body_in_rpo(self) -> list[BasicBlock]:
         """The loop's blocks in reverse post-order from the header.
 

@@ -53,14 +53,6 @@ class IntType(Type):
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def min_signed(self) -> int:
-        return -(1 << (self.bits - 1))
-
-    @property
-    def max_signed(self) -> int:
-        return (1 << (self.bits - 1)) - 1
-
     def wrap(self, value: int) -> int:
         """Wrap ``value`` to this width, interpreted as unsigned."""
         return value & self.mask

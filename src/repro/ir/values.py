@@ -38,10 +38,6 @@ class Value:
         for user in list(self.users):
             user.replace_operand(self, new)
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
     def short_name(self) -> str:
         return f"%{self.name}" if self.name else "%<anon>"
 
@@ -78,12 +74,6 @@ class User(Value):
         self._operands = list(operands)
         for op in self._operands:
             op.add_user(self)
-        self._note_mutation()
-
-    def set_operand(self, index: int, value: Value) -> None:
-        self._operands[index].remove_user(self)
-        self._operands[index] = value
-        value.add_user(self)
         self._note_mutation()
 
     def get_operand(self, index: int) -> Value:

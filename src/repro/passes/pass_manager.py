@@ -28,7 +28,7 @@ class PassConfig:
 
     The defaults mirror LLVM's CPU-oriented tuning.  The zkVM-aware
     configuration from Section 6.1 of the paper overrides a subset of them
-    (see :mod:`repro.zkvm_aware`).
+    (see :func:`~repro.passes.pipelines.apply_zkvm_aware_overrides`).
     """
 
     # Inlining (LLVM default threshold is 225; the paper raises it to 4328).

@@ -94,6 +94,10 @@ O3 = [
 OS = [name for name in O2 if name not in ("loop-unroll",)]
 OZ = [name for name in OS if name not in ("loop-rotate", "loop-idiom")]
 
+#: Change Set 3 (Section 6.1): passes whose benefit relies on hardware
+#: features zkVMs lack, dropped from every zkVM-aware pipeline.
+ZKVM_DISABLED_PASSES = ("speculative-execution",)
+
 OPTIMIZATION_LEVELS: dict[str, list[str]] = {
     "baseline": BASELINE,
     "-O0": O0,
@@ -107,7 +111,7 @@ OPTIMIZATION_LEVELS: dict[str, list[str]] = {
 
 def config_for_level(level: str, zkvm_aware: bool = False) -> PassConfig:
     """The pass configuration (thresholds) used by a preset level."""
-    config = PassConfig(zkvm_aware=zkvm_aware)
+    config = PassConfig()
     if level == "-O3":
         config = config.with_overrides(
             inline_threshold=325, unroll_threshold=300, unroll_full_max_trip_count=64)
@@ -147,6 +151,5 @@ def pipeline_for_level(level: str, zkvm_aware: bool = False) -> PassManager:
         raise KeyError(f"unknown optimization level: {level}")
     names = list(OPTIMIZATION_LEVELS[level])
     if zkvm_aware:
-        # Change set 3: drop passes that rely on hardware features zkVMs lack.
-        names = [n for n in names if n not in ("speculative-execution",)]
+        names = [n for n in names if n not in ZKVM_DISABLED_PASSES]
     return PassManager(names, config_for_level(level, zkvm_aware))

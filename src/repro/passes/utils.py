@@ -1,13 +1,13 @@
 """Shared helpers used by multiple passes: constant folding, triviality checks
-and a very small alias analysis."""
+and the base-object chase behind their pointer reasoning."""
 
 from __future__ import annotations
 
 from typing import Optional
 
 from ..ir import (
-    Alloca, Argument, BinaryOp, Call, Cast, Constant, GEP, GlobalVariable,
-    ICmp, Instruction, Load, Phi, Select, Store, Value, I1, I32,
+    Argument, BinaryOp, Call, Cast, Constant, GEP, ICmp, Instruction, Phi,
+    Select, Store, Value, I1, I32,
 )
 from ..ir.interpreter import Interpreter
 
@@ -69,48 +69,3 @@ def underlying_object(pointer: Value) -> Value:
         pointer = pointer.base
         seen += 1
     return pointer
-
-
-def may_alias(a: Value, b: Value) -> bool:
-    """A conservative may-alias test between two pointers.
-
-    Distinct allocas never alias; distinct globals never alias; an alloca
-    never aliases a global.  Anything involving an unknown pointer (function
-    argument, loaded pointer) may alias everything.
-    """
-    base_a = underlying_object(a)
-    base_b = underlying_object(b)
-    if base_a is base_b:
-        return True
-    known_a = isinstance(base_a, (Alloca, GlobalVariable))
-    known_b = isinstance(base_b, (Alloca, GlobalVariable))
-    if known_a and known_b:
-        return False
-    return True
-
-
-def address_taken(alloca: Alloca) -> bool:
-    """True if the alloca's address escapes (used by anything other than
-    direct loads, stores of *other* values, or constant-index GEPs feeding
-    loads/stores)."""
-    for user in alloca.users:
-        if isinstance(user, Load):
-            continue
-        if isinstance(user, Store) and user.pointer is alloca and user.value is not alloca:
-            continue
-        return True
-    return False
-
-
-def single_user(value: Value) -> Optional[Instruction]:
-    users = [u for u in value.users if isinstance(u, Instruction)]
-    return users[0] if len(users) == 1 else None
-
-
-def same_value(a: Value, b: Value) -> bool:
-    """Structural equality for constants, identity otherwise."""
-    if a is b:
-        return True
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return a.value == b.value and a.type == b.type
-    return False

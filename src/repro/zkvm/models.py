@@ -12,7 +12,7 @@ execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..emulator.trace import TraceStats
 from .precompiles import PRECOMPILE_CYCLES
@@ -37,8 +37,6 @@ class ZkvmMetrics:
     execution_time: float
     #: Wall-clock seconds for the prover to produce a proof.
     proving_time: float
-    #: Extra detail for analysis.
-    detail: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -76,18 +74,11 @@ class ZkvmModel:
     #: One-time execution overhead (program load, image hashing, ...).
     execution_overhead_seconds: float
 
-    def cycles_for_trace(self, trace: TraceStats) -> tuple[int, int]:
-        """(user_cycles, paging_cycles) for an execution trace."""
-        metrics = self.evaluate(trace)
-        return metrics.user_cycles, metrics.paging_cycles
-
-    def evaluate(self, trace: TraceStats, page_in_events: int | None = None,
-                 page_out_events: int | None = None) -> ZkvmMetrics:
+    def evaluate(self, trace: TraceStats) -> ZkvmMetrics:
         """Compute all metrics for a trace.
 
-        ``page_in_events`` / ``page_out_events`` are the per-segment unique page
-        touches recorded by the emulator; when omitted, whole-run unique pages
-        are used as a lower bound.
+        Paging is charged per the trace's per-segment paging events, which
+        the emulator records at every segment boundary.
         """
         user = 0
         for cls, count in trace.class_counts.items():
@@ -95,11 +86,8 @@ class ZkvmModel:
         for host_call, count in trace.host_calls.items():
             user += count * PRECOMPILE_CYCLES.get(self.name, {}).get(host_call, 0)
 
-        if page_in_events is None:
-            page_in_events = len(trace.pages_read | trace.pages_written)
-        if page_out_events is None:
-            page_out_events = len(trace.pages_written)
-        paging = page_in_events * self.page_in_cycles + page_out_events * self.page_out_cycles
+        paging = (trace.page_in_events * self.page_in_cycles
+                  + trace.page_out_events * self.page_out_cycles)
 
         total = user + paging
         segments = max(1, -(-total // self.segment_cycles))  # ceil division
@@ -116,11 +104,6 @@ class ZkvmModel:
             segments=segments,
             execution_time=execution_time,
             proving_time=proving_time,
-            detail={
-                "page_in_events": page_in_events,
-                "page_out_events": page_out_events,
-                "host_calls": dict(trace.host_calls),
-            },
         )
 
 
@@ -162,6 +145,6 @@ ZKVMS: dict[str, ZkvmModel] = {"risc0": RISC_ZERO, "sp1": SP1}
 
 #: Version of the analytic cost-model *formulas* above.  Parameter values are
 #: fingerprinted directly by the experiment cache; bump this when the shape of
-#: ``cycles_for_trace``/``evaluate`` changes so stale cached measurements are
+#: ``evaluate`` changes so stale cached measurements are
 #: invalidated (see :mod:`repro.experiments.cache`).
 COST_MODEL_VERSION = 1

@@ -8,9 +8,9 @@ battery wants to run against all of them.  This module gives them one
 uniform surface:
 
 * :func:`run_engine` constructs the right machine for an engine name,
-  runs it, and captures the outcome as an :class:`EngineRun` — stats,
-  paging events, output, memory, any fault and, for timed engines, the
-  ``CpuMetrics`` (partial ones when the guest faulted).
+  runs it, and captures the outcome as an :class:`EngineRun` — stats
+  (paging events included), output, memory, any fault and, for timed
+  engines, the ``CpuMetrics`` (partial ones when the guest faulted).
 * :func:`assert_runs_identical` is the shared "this engine matched the
   reference" check.  The reference always drives the observer
   ``CpuTimingModel``, the oracle for the timed engine's metrics.
@@ -60,8 +60,6 @@ class EngineRun:
         self.engine = engine
         self.machine = machine
         self.stats = machine.stats
-        self.page_in_events = machine.page_in_events
-        self.page_out_events = machine.page_out_events
         self.output = list(machine.output)
         self.error = error
         self.cpu = (machine.observers[0].finalize() if machine.observers
@@ -97,14 +95,14 @@ def assert_runs_identical(run: EngineRun, reference: EngineRun,
     if run.error is not None:
         assert str(run.error) == str(reference.error), (
             f"{run.engine} fault message diverged{where}")
+    assert run.stats.page_in_events == reference.stats.page_in_events, (
+        f"{run.engine} page-in events diverged{where}")
+    assert run.stats.page_out_events == reference.stats.page_out_events, (
+        f"{run.engine} page-out events diverged{where}")
     assert run.stats == reference.stats, (
         f"{run.engine} TraceStats diverged from {reference.engine}{where}")
     assert run.output == reference.output, (
         f"{run.engine} output diverged{where}")
-    assert run.page_in_events == reference.page_in_events, (
-        f"{run.engine} page-in events diverged{where}")
-    assert run.page_out_events == reference.page_out_events, (
-        f"{run.engine} page-out events diverged{where}")
     assert run.machine.memory == reference.machine.memory, (
         f"{run.engine} final memory diverged{where}")
     if run.cpu is not None:

@@ -423,11 +423,9 @@ class TestEmulator:
         }
         """
         program = compile_module(compile_source(source))
-        machine = Machine(program)
-        stats = machine.run()
-        machine_pages = machine.page_in_events
+        stats = Machine(program).run()
         assert stats.unique_pages >= 8  # 2048 words span 8 KiB = 8 pages
-        assert machine_pages >= stats.unique_pages - 1
+        assert stats.page_in_events >= stats.unique_pages - 1
 
     def test_precompile_host_calls(self):
         source = """

@@ -13,6 +13,7 @@ from repro.experiments import (
 from repro.experiments import figures, tables
 from repro.frontend import compile_source
 from repro.ir import verify_module
+from repro.passes import OPTIMIZATION_LEVELS, pipeline_for_level
 
 FAST_BENCHMARKS = ["fibonacci", "loop-sum", "polybench-trisolv", "npb-is", "rsp"]
 FAST_PASSES = ["inline", "licm", "mem2reg", "instcombine", "loop-extract"]
@@ -84,6 +85,15 @@ class TestProfiles:
         assert profile_by_name("-O3-zkvm") == zkvm_aware_profile()
         with pytest.raises(KeyError, match="unknown profile: -O9-zkvm"):
             profile_by_name("-O9-zkvm")
+
+    @pytest.mark.parametrize("level", list(OPTIMIZATION_LEVELS))
+    def test_zkvm_aware_profile_matches_the_zkvm_aware_pipeline(self, level):
+        # The measured profile and the library pipeline apply one Change
+        # Set 1-3 recipe: the same passes under the same configuration.
+        profile = zkvm_aware_profile(level)
+        pipeline = pipeline_for_level(level, zkvm_aware=True)
+        assert [p.name for p in pipeline.passes] == list(profile.passes)
+        assert pipeline.config == profile.config
 
 
 class TestRunner:

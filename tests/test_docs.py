@@ -10,7 +10,9 @@ and everything under ``docs/`` stay honest:
   nine subcommands with no user guide);
 * every ``--flag`` README.md or ``docs/GUIDE.md`` names must exist on the
   ``repro`` parser or one of its subcommands, so a removed flag cannot
-  linger in the docs.
+  linger in the docs;
+* every backtick-quoted dotted ``repro.…`` name must import, so a deleted
+  module or class cannot linger in the docs either.
 
 External (``http(s)://``) links are deliberately not fetched — the test
 suite runs offline.
@@ -19,6 +21,7 @@ suite runs offline.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 from pathlib import Path
 
@@ -125,6 +128,38 @@ def test_documented_flags_exist(doc):
     text = (REPO_ROOT / doc).read_text(encoding="utf-8")
     unknown = sorted(set(_FLAG.findall(text)) - options)
     assert not unknown, f"{doc} names flags `repro` does not have: {unknown}"
+
+
+#: A backtick-quoted dotted name under the package: a module or a member.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+
+
+def _resolve(dotted: str):
+    """Import the longest module prefix of ``dotted``, then get each
+    remaining attribute; raises ImportError or AttributeError when the name
+    does not resolve."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            target = getattr(target, attribute)
+        return target
+    raise ModuleNotFoundError(f"no module in {dotted}")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_documented_repro_names_resolve(doc):
+    text = doc.read_text(encoding="utf-8")
+    unresolved = []
+    for name in sorted(set(_DOTTED_NAME.findall(text))):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert not unresolved, f"{doc.name} names what does not exist: {unresolved}"
 
 
 def test_readme_links_to_guide():

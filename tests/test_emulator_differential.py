@@ -379,7 +379,7 @@ class TestSegmentPaging:
         ref = run_engine("reference", program, segment_size=segment_size)
         run = run_engine(engine, program, segment_size=segment_size)
         assert_runs_identical(run, ref, f"segment_size={segment_size}")
-        assert run.page_in_events > 0
+        assert run.stats.page_in_events > 0
 
     @pytest.mark.parametrize("engine", DIFF_ENGINE_NAMES)
     def test_segment_sizes_straddling_the_run_length(self, engine):
@@ -444,7 +444,6 @@ class TestMachineReuse:
 
         reused = machine_cls(program, **kwargs)
         first = reused.run("main", benchmark.args)
-        first_pages = (reused.page_in_events, reused.page_out_events)
         second = reused.run("main", benchmark.args)
 
         fresh_a = machine_cls(program, **kwargs)
@@ -455,10 +454,10 @@ class TestMachineReuse:
         assert first == fresh_first
         assert second == fresh_second
         assert first == second, "second run() accumulated state"
-        assert first_pages == (fresh_a.page_in_events,
-                               fresh_a.page_out_events)
-        assert (reused.page_in_events, reused.page_out_events) == \
-            (fresh_b.page_in_events, fresh_b.page_out_events)
+        assert (first.page_in_events, first.page_out_events) == \
+            (fresh_first.page_in_events, fresh_first.page_out_events)
+        assert (second.page_in_events, second.page_out_events) == \
+            (fresh_second.page_in_events, fresh_second.page_out_events)
         assert reused.memory == fresh_b.memory
         assert reused.output == fresh_b.output
 
@@ -470,10 +469,10 @@ class TestMachineReuse:
         program = _compile(TestSegmentPaging.SOURCE)
         reused = machine_cls(program, segment_size=999)
         first = reused.run()
-        first_events = (reused.page_in_events, reused.page_out_events)
         second = reused.run()
         assert first == second
-        assert (reused.page_in_events, reused.page_out_events) == first_events
+        assert (second.page_in_events, second.page_out_events) == \
+            (first.page_in_events, first.page_out_events)
 
     @pytest.mark.parametrize("machine_cls", [Machine, TranslatedMachine],
                              ids=["fast", "translated"])
@@ -580,21 +579,6 @@ class TestDecodePipeline:
         first = TranslatedMachine(program)
         second = TranslatedMachine(program)
         assert first._tcache is second._tcache
-
-    def test_runner_reuses_compiled_programs(self):
-        from repro.experiments.profiles import Profile, baseline_profile
-        from repro.experiments.runner import BenchmarkRunner
-
-        runner = BenchmarkRunner()
-        first = runner.compile("fibonacci", baseline_profile())
-        again = runner.compile("fibonacci", baseline_profile())
-        assert first is again
-        # Content-equal profiles share one compiled (and decoded) program
-        # regardless of display name.
-        renamed = Profile(name="candidate-0", passes=(), kind="custom")
-        assert runner.compile("fibonacci", renamed) is first
-        assert runner.compile("fibonacci", baseline_profile(),
-                              use_cache=False) is not first
 
     def test_prepared_immediates_match_reference_semantics(self):
         """Decode-time immediate preparation must be observationally equal to

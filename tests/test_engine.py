@@ -282,6 +282,21 @@ class TestCli:
         assert cli.main(["list", "benchmarks"]) == 0
         assert "fibonacci" in capsys.readouterr().out
 
+    def test_run_reference_replays_the_measured_run(self, capsys):
+        # --reference replays the compiled guest on ReferenceMachine instead
+        # of measuring it; the guest's behaviour and length must not change.
+        argv = ["--no-disk-cache", "run", "loop-sum", "--profile=-O2"]
+
+        def facts(out):
+            return [line for line in out.splitlines() if line.startswith(
+                ("output:", "return value:", "instructions:"))]
+
+        assert cli.main(argv) == 0
+        measured = facts(capsys.readouterr().out)
+        assert cli.main([*argv, "--reference"]) == 0
+        assert len(measured) == 3
+        assert facts(capsys.readouterr().out) == measured
+
     def test_unknown_inputs_fail_cleanly(self, tmp_path, capsys):
         assert self._run(tmp_path, "figure", "99") == 2
         assert self._run(tmp_path, "measure", "no-such-benchmark") == 2

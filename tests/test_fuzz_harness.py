@@ -5,8 +5,9 @@ Planted-bug coverage: two deliberately evil passes are registered under
 buckets a semantic miscompile as ``passes`` and verifier-breaking IR as
 ``pipeline`` (naming the guilty pass when ``verify_each_pass`` is on), and
 that the reducer shrinks such failures while preserving the stage.  A
-patched backend, two patched emulators and a machine that skews its CPU
-model's totals prove the ``backend`` and ``emulator`` buckets the same way.
+patched backend, two patched emulators, a machine that skews its CPU
+model's totals and one that miscounts paging events prove the ``backend``
+and ``emulator`` buckets the same way.
 """
 
 import pytest
@@ -137,6 +138,18 @@ class SkewedTiming(Machine):
         return stats
 
 
+class ExtraPageOut(Machine):
+    """Counts one page-out event too many at every segment flush.
+
+    Outputs, memory and the CPU model stay exact, so only the comparison of
+    the trace's paging events with the reference's can notice.
+    """
+
+    def _flush_segment(self) -> None:
+        super()._flush_segment()
+        self.stats.page_out_events += 1
+
+
 class TestStepLimitExceeded:
     """Satellite: the step-limit error reports function + executed steps."""
 
@@ -224,6 +237,13 @@ class TestHarnessStages:
         assert report.stage == "emulator"
         assert report.detail == ("timed and reference emulators diverged on "
                                  "CpuMetrics")
+
+    def test_planted_paging_fault_buckets_as_emulator(self, monkeypatch):
+        monkeypatch.setattr(harness, "Machine", ExtraPageOut)
+        report = run_differential(SMALL_SUM)
+        assert not report.ok
+        assert report.stage == "emulator"
+        assert "TraceStats" in report.detail
 
     def test_all_reported_stages_are_known(self):
         assert STAGES == ("frontend", "step-limit", "interp", "pipeline",

@@ -24,27 +24,27 @@ def measure(source: str, **machine_kwargs):
 
 class TestZkvmModels:
     def test_metrics_scale_with_instruction_count(self):
-        small, machine_s, _ = measure("fn main() -> int { var i; var a = 0;"
-                                      " for (i = 0; i < 10; i = i + 1) { a = a + i; }"
-                                      " return a; }")
-        large, machine_l, _ = measure("fn main() -> int { var i; var a = 0;"
-                                      " for (i = 0; i < 1000; i = i + 1) { a = a + i; }"
-                                      " return a; }")
+        small, _, _ = measure("fn main() -> int { var i; var a = 0;"
+                              " for (i = 0; i < 10; i = i + 1) { a = a + i; }"
+                              " return a; }")
+        large, _, _ = measure("fn main() -> int { var i; var a = 0;"
+                              " for (i = 0; i < 1000; i = i + 1) { a = a + i; }"
+                              " return a; }")
         for model in (RISC_ZERO, SP1):
-            m_small = model.evaluate(small, machine_s.page_in_events, machine_s.page_out_events)
-            m_large = model.evaluate(large, machine_l.page_in_events, machine_l.page_out_events)
+            m_small = model.evaluate(small)
+            m_large = model.evaluate(large)
             assert m_large.total_cycles > m_small.total_cycles
             assert m_large.execution_time > m_small.execution_time
             assert m_large.proving_time >= m_small.proving_time
 
     def test_proving_slower_than_execution(self):
-        trace, machine, _ = measure(REFERENCE_PROGRAM)
+        trace, _, _ = measure(REFERENCE_PROGRAM)
         for model in ZKVMS.values():
-            metrics = model.evaluate(trace, machine.page_in_events, machine.page_out_events)
+            metrics = model.evaluate(trace)
             assert metrics.proving_time > metrics.execution_time
 
     def test_risc0_charges_paging_sp1_does_not(self):
-        trace, machine, _ = measure("""
+        trace, _, _ = measure("""
         global big[4096];
         fn main() -> int {
           var i;
@@ -52,8 +52,8 @@ class TestZkvmModels:
           return 0;
         }
         """)
-        r0 = RISC_ZERO.evaluate(trace, machine.page_in_events, machine.page_out_events)
-        sp1 = SP1.evaluate(trace, machine.page_in_events, machine.page_out_events)
+        r0 = RISC_ZERO.evaluate(trace)
+        sp1 = SP1.evaluate(trace)
         assert r0.paging_cycles > 0
         assert sp1.paging_cycles == 0
         assert r0.total_cycles > r0.user_cycles
@@ -62,23 +62,23 @@ class TestZkvmModels:
         trace = TraceStats()
         trace.class_counts = {"alu": RISC_ZERO.segment_cycles * 3}
         trace.instructions = RISC_ZERO.segment_cycles * 3
-        metrics = RISC_ZERO.evaluate(trace, 0, 0)
+        metrics = RISC_ZERO.evaluate(trace)
         assert metrics.segments == 3
         single = TraceStats()
         single.class_counts = {"alu": 100}
         single.instructions = 100
-        assert RISC_ZERO.evaluate(single, 0, 0).segments == 1
+        assert RISC_ZERO.evaluate(single).segments == 1
 
     def test_precompiles_charged_fixed_cycles(self):
         trace = TraceStats()
         trace.class_counts = {"alu": 1000}
         trace.instructions = 1000
         trace.host_calls = {"__sha256": 5}
-        with_precompile = RISC_ZERO.evaluate(trace, 0, 0)
+        with_precompile = RISC_ZERO.evaluate(trace)
         trace_plain = TraceStats()
         trace_plain.class_counts = {"alu": 1000}
         trace_plain.instructions = 1000
-        without = RISC_ZERO.evaluate(trace_plain, 0, 0)
+        without = RISC_ZERO.evaluate(trace_plain)
         assert with_precompile.user_cycles == \
             without.user_cycles + 5 * PRECOMPILE_CYCLES["risc0"]["__sha256"]
 
