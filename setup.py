@@ -32,6 +32,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
+    install_requires=["scipy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     classifiers=[
         "Development Status :: 4 - Beta",

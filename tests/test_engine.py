@@ -311,3 +311,40 @@ class TestCli:
         assert self._run(tmp_path, "measure", "loop-sum", "--profile=-O3",
                          "--profile", "baseline") == 0
         assert "computed=0" in capsys.readouterr().err
+
+
+class TestColdStart:
+    # Only Table 2 needs scipy. Every other process, and the pool it forks,
+    # must start without scipy, numpy or OpenBLAS's threads.
+    SCRIPT = """
+import json, os, sys
+import repro.cli, repro.experiments, repro.autotuner, repro.fuzz
+from repro.analysis.stats import kendall_tau
+from repro.experiments import ExperimentEngine, profile_by_name
+
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+engine = ExperimentEngine(workers=2, use_disk_cache=False)
+engine.measure_pairs([(name, profile_by_name("-O2"))
+                      for name in ("fibonacci", "loop-sum")])
+engine.close()
+loaded = sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+tau = kendall_tau([1, 2, 3], [1, 3, 2])
+print(json.dumps({"threads": threads, "parallel_jobs": engine.stats.parallel_jobs,
+                  "loaded": loaded, "tau": tau,
+                  "scipy_after": "scipy" in sys.modules}))
+"""
+
+    def test_measurement_path_loads_no_scipy_and_forks_from_one_thread(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        report = json.loads(done.stdout.splitlines()[-1])
+        if report["threads"] is not None:
+            assert report["threads"] == 1, "the pool must fork from one thread"
+        assert report["parallel_jobs"] == 2
+        assert report["loaded"] == []
+        assert report["tau"] == 0.33333333333333337
+        assert report["scipy_after"]
