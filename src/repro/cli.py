@@ -94,7 +94,8 @@ def _report_engine(engine, full: bool = False) -> None:
     """
     stats = engine.stats
     cache_dir = engine.cache.root if engine.cache is not None else "<disabled>"
-    print(f"[engine] computed={stats.computed} disk_hits={stats.disk_hits} "
+    print(f"[engine] computed={stats.computed} reused={stats.reused} "
+          f"disk_hits={stats.disk_hits} "
           f"memory_hits={stats.memory_hits} errors={stats.errors} "
           f"retries={stats.retries} timeouts={stats.timeouts} "
           f"quarantined={stats.quarantined} "

@@ -34,9 +34,12 @@ class TraceStats:
     #: Pages read / written over the whole execution (unique page numbers).
     pages_read: set = field(default_factory=set)
     pages_written: set = field(default_factory=set)
-    #: Paging events, counted per proving segment: a page touched in a
-    #: segment is paged in once, and paged out once if it was written there.
-    #: Segments follow the zkVM cycle budget (see ``repro.zkvm.models``).
+    #: Paging events, counted per segment: a page touched in a segment is
+    #: paged in once, and paged out once if it was written there.  The
+    #: machines close a segment every ``segment_size`` retired instructions
+    #: (65,536 by default), not when the zkVM model's cycle budget fills
+    #: (``RISC_ZERO.segment_cycles`` is 2^20 cycles), so the two segment
+    #: counts can disagree; ROADMAP.md item 1 is to give them one definition.
     page_in_events: int = 0
     page_out_events: int = 0
     #: Total memory loads/stores.

@@ -23,6 +23,11 @@ observe torn entries; corrupt, truncated, unreadable or wrong-schema entries
 are treated as misses, counted on ``stats.errors`` and evicted, so a damaged
 cache always degrades to recomputation instead of failing runs
 (``repro cache verify`` runs that eviction as a batch scan).
+
+:func:`module_key` and :func:`program_key` key the runner's in-process
+memos one step later: on the optimized module and on the compiled program,
+so recipes that produce the same code are measured once.  They never key
+the disk cache.
 """
 
 from __future__ import annotations
@@ -37,12 +42,20 @@ from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from ..backend.isa import Label
 from ..cpu import DEFAULT_CPU
+from ..ir.instructions import (
+    GEP, Alloca, BinaryOp, Branch, Call, Cast, CondBranch, ICmp, Load, Phi,
+    Ret, Select, Store, Unreachable,
+)
+from ..ir.values import Constant, GlobalVariable, UndefValue
 from ..zkvm.models import COST_MODEL_VERSION, ZKVMS
 from .faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..backend import AssemblyProgram, TargetCostModel
     from ..benchmarks import Benchmark
+    from ..ir import Function, Module
     from .profiles import Profile
     from .runner import Measurement
 
@@ -140,6 +153,112 @@ def measurement_fingerprint(benchmark: "Benchmark", profile: "Profile",
     blob = "\x1e".join([_environment_blob(), _benchmark_blob(benchmark),
                         profile_blob])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+#: Per instruction class, the fields fixed at construction beyond the
+#: opcode, as one string (block operands go through ``ref``).  A class
+#: missing here fails :func:`module_key` loudly instead of hashing partly.
+_FIXED_FIELDS = {
+    BinaryOp: lambda inst, ref: "",
+    ICmp: lambda inst, ref: inst.predicate,
+    Select: lambda inst, ref: "",
+    Alloca: lambda inst, ref: f"{inst.allocated_type} x {inst.count}",
+    Load: lambda inst, ref: str(inst.loaded_type),
+    Store: lambda inst, ref: "",
+    GEP: lambda inst, ref: str(inst.element_size),
+    Branch: lambda inst, ref: ref(inst.target),
+    CondBranch: lambda inst, ref: f"{ref(inst.true_target)} "
+                                  f"{ref(inst.false_target)}",
+    Ret: lambda inst, ref: "",
+    Unreachable: lambda inst, ref: "",
+    Call: lambda inst, ref: "@" + inst.callee,
+    Phi: lambda inst, ref: " ".join(map(ref, inst.incoming_blocks)),
+    Cast: lambda inst, ref: "",
+}
+
+
+def _function_text(function: "Function") -> str:
+    """Everything of ``function`` the backend reads, one line per item.
+
+    Arguments, blocks and instructions are numbered in order of first
+    appearance (``%n``), so a reference names one value whatever the
+    names say; a constant carries its type (the lowering reads a ``sext``
+    source's width), a global its name.
+    """
+    local: dict = {}
+
+    def ref(value) -> str:
+        text = local.get(value)
+        if text is None:
+            if isinstance(value, Constant):
+                return f"i{value.type.bits}:{value.value}"
+            if isinstance(value, GlobalVariable):
+                return "@" + value.name
+            if isinstance(value, UndefValue):
+                return f"undef:{value.type}"
+            text = local[value] = f"%{len(local)}"
+        return text
+
+    arguments = " ".join(f"{ref(a)}:{a.type}:{a.name}" for a in function.arguments)
+    lines = [f"define {function.return_type} @{function.name}({arguments}) "
+             f"{sorted(function.attributes)} {function.is_declaration}"]
+    for block in function.blocks:
+        lines.append(f"{ref(block)}:{block.name}")
+        for inst in block.instructions:
+            cls = type(inst)
+            lines.append(
+                f"  {ref(inst)} {cls.__name__} {inst.name} {inst.type} "
+                f"{inst.opcode} {_FIXED_FIELDS[cls](inst, ref)} | "
+                f"{' '.join(map(ref, inst._operands))}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def module_key(module: "Module", cost_model: "TargetCostModel",
+               run_inputs: tuple) -> str:
+    """Content hash of an optimized module, its backend and its run.
+
+    ``run_inputs`` is ``(args, inputs, max_instructions, translate)``.  Two
+    recipes whose passes leave equal modules get one key, so the runner
+    compiles and replays it once.  The serialization is complete: every
+    global with its whole initializer, every function's signature,
+    attributes and blocks in order, and every instruction's class, name,
+    type, fixed fields and operands (see :func:`_function_text`).
+    ``repro.ir.printer.format_module`` cannot serve: it cuts initializers at
+    8 elements and prints constants without their type.  Each global and
+    function is hashed as soon as it is serialized, so no whole-module
+    string is built.
+    """
+    digest = hashlib.sha256(repr((cost_model, run_inputs)).encode())
+    for gv in module.globals.values():
+        digest.update(f"@{gv.name} {gv.element_type} {gv.count} "
+                      f"{gv.initializer}\n".encode())
+    for function in module.functions.values():
+        digest.update(_function_text(function).encode())
+    return digest.hexdigest()
+
+
+def program_key(program: "AssemblyProgram", run_inputs: tuple) -> str:
+    """Content hash of a compiled program and its run.
+
+    Covers each function's name and body (labels, opcodes and operands;
+    comments are not read by the emulator), the data image and
+    ``run_inputs`` (as for :func:`module_key`).  ``code_bytes`` and
+    ``static_instructions`` are functions of these.
+    """
+    digest = hashlib.sha256(repr(run_inputs).encode())
+    for name, function in program.functions.items():
+        lines = [f"function {name}"]
+        for item in function.body:
+            if isinstance(item, Label):
+                lines.append(item.name + ":")
+            else:
+                lines.append(f"{item.opcode} {item.operands!r}")
+        lines.append("")
+        digest.update("\n".join(lines).encode())
+    digest.update(repr((program.globals_init, program.globals_layout,
+                        program.data_end)).encode())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -282,4 +401,5 @@ class MeasurementCache:
 
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "MeasurementCache",
-           "default_cache_dir", "measurement_fingerprint"]
+           "default_cache_dir", "measurement_fingerprint", "module_key",
+           "program_key"]

@@ -51,20 +51,25 @@ from .runner import BenchmarkRunner, Measurement
 #: saves for one or two jobs.
 DEFAULT_PARALLEL_THRESHOLD = 2
 
-#: Per-process runner reuse inside pool workers, so one worker measuring many
-#: profiles of the same benchmark parses the frontend module once.
+#: Per-process runner reuse inside pool workers: one worker parses each
+#: benchmark's frontend module once and keeps its runner's module and program
+#: memos for the life of the pool, so later batches hit them too.
 _WORKER_RUNNERS: dict = {}
 
 #: Sentinel marking a batch slot whose outcome is not decided yet.
 _UNRESOLVED = object()
 
 
-def _compute_measurement_job(job) -> Measurement:
-    """Pool worker entry point: compute one measurement from scratch.
+def _compute_measurement_job(job) -> tuple[Measurement, bool]:
+    """Pool worker entry point: measure one recipe the parent's caches missed.
 
     ``job`` is ``(benchmark_name, profile, max_instructions, translate)``.
-    Runs in a separate process; the only state shared with the parent is the
-    picklable job tuple and the returned :class:`Measurement`.
+    Runs this worker's long-lived runner's compute step
+    (:meth:`BenchmarkRunner._compute`): its module and program memos answer
+    repeats this worker has measured; the recipe memo and the disk cache
+    stay with the parent.  Returns the measurement and whether a content key
+    answered it.  Runs in a separate process; the only state shared with the
+    parent is the picklable job tuple and the returned pair.
     """
     benchmark_name, profile, max_instructions, translate = job
     fault_point("measure-job", f"{benchmark_name}/{profile.name}")
@@ -73,7 +78,7 @@ def _compute_measurement_job(job) -> Measurement:
     if runner is None:
         runner = _WORKER_RUNNERS[key] = BenchmarkRunner(
             max_instructions=max_instructions, translate=translate)
-    return runner.measure(benchmark_name, profile, use_cache=False)
+    return runner._compute(benchmark_name, profile)
 
 
 class _PoolUnavailable(Exception):
@@ -89,8 +94,14 @@ class EngineStats:
     memory_hits: int = 0
     #: Jobs answered from the on-disk cache.
     disk_hits: int = 0
-    #: Jobs that actually compiled + emulated a benchmark.
+    #: Recipe misses: jobs the memory and disk caches could not answer, so
+    #: the compute step ran (passes, then backend and replay unless reused).
     computed: int = 0
+    #: Of ``computed``, jobs answered from a content key: the optimized
+    #: module or the compiled program equalled one the same process (this
+    #: one or a pool worker) had measured, so the backend or the replay was
+    #: skipped.
+    reused: int = 0
     #: Jobs that exhausted their attempts and were reported as failures.
     errors: int = 0
     #: Number of batches that ran on a process pool.
@@ -108,7 +119,8 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "computed": self.computed, "errors": self.errors,
+                "computed": self.computed, "reused": self.reused,
+                "errors": self.errors,
                 "parallel_batches": self.parallel_batches,
                 "parallel_jobs": self.parallel_jobs,
                 "retries": self.retries, "timeouts": self.timeouts,
@@ -193,32 +205,36 @@ class ExperimentEngine(BenchmarkRunner):
         if self.cache is not None:
             self.cache.put(key, measurement)
 
-    def _compute(self, benchmark_name: str, profile: Profile) -> Measurement:
-        measurement = super()._compute(benchmark_name, profile)
+    def _compute(self, benchmark_name: str,
+                 profile: Profile) -> tuple[Measurement, bool]:
+        measurement, reused = super()._compute(benchmark_name, profile)
+        self._count(reused)
+        return measurement, reused
+
+    def _count(self, reused: bool) -> None:
         self.stats.computed += 1
-        return measurement
+        self.stats.reused += reused
 
     # -- measurement ---------------------------------------------------------
-    def measure(self, benchmark_name: str, profile: Profile,
-                use_cache: bool = True) -> Measurement:
+    def measure(self, benchmark_name: str, profile: Profile) -> Measurement:
         """Measure one pair in-process, through the memory and disk caches.
 
         Same contract as :meth:`BenchmarkRunner.measure`; a computed pair
-        counts on ``stats.computed``.  Defined on this class, like
-        :meth:`measure_pairs` and :meth:`map_jobs`, so instrumentation can
-        wrap the engine's three entry points per class.
+        counts on ``stats.computed`` (and ``stats.reused``).  Defined on
+        this class, like :meth:`measure_pairs` and :meth:`map_jobs`, so
+        instrumentation can wrap the engine's three entry points per class.
         """
-        return super().measure(benchmark_name, profile, use_cache)
+        return super().measure(benchmark_name, profile)
 
     def measure_pairs(self, pairs: Sequence[tuple[str, Profile]],
-                      use_cache: bool = True,
                       on_error: str = "raise") -> list:
         """Measure a batch of (benchmark, profile) jobs, sharded across workers.
 
         Cached jobs are answered immediately; the remaining *unique*
         fingerprints are computed — in parallel when the batch is large enough
-        and ``workers > 1`` — then persisted.  The returned list is aligned
-        with ``pairs`` (deterministic ordering, independent of scheduling).
+        and ``workers > 1``, each worker through its own content memos — then
+        persisted.  The returned list is aligned with ``pairs``
+        (deterministic ordering, independent of scheduling).
 
         Failure handling (``on_error``):
 
@@ -236,11 +252,10 @@ class ExperimentEngine(BenchmarkRunner):
         pending: dict[str, list[int]] = {}
         for index, (benchmark_name, profile) in enumerate(pairs):
             key = self.fingerprint(benchmark_name, profile)
-            if use_cache:
-                cached = self._lookup(key)
-                if cached is not None:
-                    results[index] = self._relabel(cached, benchmark_name, profile)
-                    continue
+            cached = self._lookup(key)
+            if cached is not None:
+                results[index] = self._relabel(cached, benchmark_name, profile)
+                continue
             pending.setdefault(key, []).append(index)
 
         if pending:
@@ -261,12 +276,13 @@ class ExperimentEngine(BenchmarkRunner):
                         for index in pending[key]:
                             results[index] = outcome
                     continue
-                self.stats.computed += 1
-                if use_cache:
-                    self._store(key, outcome)
+                measurement, reused = outcome
+                self._count(reused)
+                self._store(key, measurement)
                 for index in pending[key]:
                     benchmark_name, profile = pairs[index]
-                    results[index] = self._relabel(outcome, benchmark_name, profile)
+                    results[index] = self._relabel(measurement, benchmark_name,
+                                                   profile)
         return results
 
     # -- generic batched jobs ------------------------------------------------
@@ -304,11 +320,12 @@ class ExperimentEngine(BenchmarkRunner):
 
     # -- execution core ------------------------------------------------------
     def _compute_batch(self, jobs: list, labels: Optional[list] = None) -> list:
-        """Run measurement jobs; a Measurement or JobFailure per job, in order."""
+        """Run measurement jobs, in order: per job a ``(Measurement, reused)``
+        pair or a JobFailure."""
 
         def compute_serial(job):
-            # In-process execution reuses this engine's parsed modules; the
-            # fault hook mirrors the pool worker's.
+            # In-process execution reuses this engine's parsed modules and
+            # content memos; the fault hook mirrors the pool worker's.
             # measure_pairs counts the outcome, so skip the counting override.
             fault_point("measure-job", f"{job[0]}/{job[1].name}")
             return BenchmarkRunner._compute(self, job[0], job[1])
@@ -539,10 +556,10 @@ class ExperimentEngine(BenchmarkRunner):
 
         Keeping one pool alive across batches lets ``_WORKER_RUNNERS`` persist
         in the workers, so e.g. consecutive autotuner generations reuse each
-        worker's parsed frontend modules instead of paying pool startup and
-        re-compilation per generation.  The ``fork`` context is pinned where
-        available so worker state (and the fault-injection environment) is
-        inherited deterministically.
+        worker's parsed frontend modules and content memos instead of paying
+        pool startup, re-parsing and re-measuring per generation.  The
+        ``fork`` context is pinned where available so worker state (and the
+        fault-injection environment) is inherited deterministically.
         """
         if self._pool is None:
             import multiprocessing

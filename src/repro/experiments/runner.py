@@ -4,13 +4,14 @@ time, proving time for both zkVMs; native execution time on the CPU model).
 
 :func:`measure_program` is the one measurement step: replay a compiled
 program and cost its trace.  :class:`BenchmarkRunner` compiles registered
-benchmarks (:func:`compile_program`), measures them through that step and
-memoizes each measurement (not the compiled program) by content
-fingerprint.  The figure/table regenerators and the autotuner submit work
-through its batch API (:meth:`BenchmarkRunner.measure_pairs`), which the
-parallel, disk-cached :class:`~repro.experiments.engine.ExperimentEngine`
-subclass overrides to shard jobs across worker processes — substitute an
-engine anywhere a runner is accepted to parallelize and persist a study."""
+benchmarks, measures them through that step and memoizes each measurement
+(not the compiled program) three ways: by recipe, by optimized module and
+by compiled program.  The figure/table regenerators and the autotuner
+submit work through its batch API (:meth:`BenchmarkRunner.measure_pairs`),
+which the parallel, disk-cached
+:class:`~repro.experiments.engine.ExperimentEngine` subclass overrides to
+shard jobs across worker processes — substitute an engine anywhere a runner
+is accepted to parallelize and persist a study."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from ..frontend import compile_source
 from ..ir import Module
 from ..passes import PassManager
 from ..zkvm.models import ZKVMS, ZkvmMetrics
-from .cache import measurement_fingerprint
+from .cache import measurement_fingerprint, module_key, program_key
 from .profiles import Profile, baseline_profile
 
 
@@ -93,12 +94,17 @@ def warm_matrix(runner: "BenchmarkRunner", benchmarks: list[str],
                           for benchmark in benchmarks for profile in profiles])
 
 
-def compile_program(module: Module, profile: Profile):
-    """Optimize a copy of ``module`` under ``profile`` and lower it to RV32IM."""
+def _optimized(module: Module, profile: Profile) -> Module:
+    """A copy of ``module`` after ``profile``'s passes."""
     module = module.clone()
     if profile.passes:
         PassManager(profile.passes, profile.config).run(module)
-    return compile_module(module, profile.cost_model)
+    return module
+
+
+def compile_program(module: Module, profile: Profile):
+    """Optimize a copy of ``module`` under ``profile`` and lower it to RV32IM."""
+    return compile_module(_optimized(module, profile), profile.cost_model)
 
 
 def measure_program(program, benchmark: str, profile: str,
@@ -140,10 +146,21 @@ def measure_program(program, benchmark: str, profile: str,
 class BenchmarkRunner:
     """Compiles and measures benchmark programs under optimization profiles.
 
-    Measurements are memoized by content fingerprint (:meth:`fingerprint`),
-    so the table/figure regenerators share work and content-equal profiles
-    share one measurement whatever their names.  A repeated recipe is
-    answered from that memo, so compiled programs are not kept: each
+    Three memos, kept for the life of the runner, answer repeated work with
+    an earlier measurement under the requested names:
+
+    * the **recipe** memo (:meth:`fingerprint`: benchmark, passes, config,
+      cost model, budget) answers a repeated recipe before anything runs, so
+      content-equal profiles share one measurement whatever their names;
+    * the **module** memo (:func:`~repro.experiments.cache.module_key`)
+      answers a recipe whose passes left a module already measured with the
+      same cost model and run inputs: the backend and the replay are
+      skipped;
+    * the **program** memo (:func:`~repro.experiments.cache.program_key`)
+      answers a module whose backend produced a program already measured on
+      the same run inputs: the replay and costing are skipped.
+
+    Failures are never memoized.  Compiled programs are not kept: each
     :meth:`compile` compiles afresh.  Frontend modules are kept per
     benchmark, since every profile of a benchmark starts from the same one.
     """
@@ -164,6 +181,9 @@ class BenchmarkRunner:
         self._source_cache: dict[str, Module] = {}
         #: Measurements by :meth:`fingerprint`.
         self._memory: dict[str, Measurement] = {}
+        #: Measurements by :func:`module_key` and by :func:`program_key`.
+        self._by_module: dict[str, Measurement] = {}
+        self._by_program: dict[str, Measurement] = {}
 
     # -- compilation ---------------------------------------------------------
     def frontend_module(self, benchmark_name: str) -> Module:
@@ -188,22 +208,18 @@ class BenchmarkRunner:
         return measurement_fingerprint(get_benchmark(benchmark_name), profile,
                                        self.max_instructions, self.translate)
 
-    def measure(self, benchmark_name: str, profile: Profile,
-                use_cache: bool = True) -> Measurement:
+    def measure(self, benchmark_name: str, profile: Profile) -> Measurement:
         """Compile, emulate and cost one (benchmark, profile) pair.
 
         Results are memoized by :meth:`fingerprint` for the lifetime of this
         runner and come back under the requested names, so two profiles with
         one recipe share a measurement and two recipes with one name do not.
-        ``use_cache=False`` computes afresh, stores nothing and hashes
-        nothing (the pool workers' path).
+        A recipe miss goes through :meth:`_compute` and its content memos.
         """
-        if not use_cache:
-            return self._compute(benchmark_name, profile)
         key = self.fingerprint(benchmark_name, profile)
         measurement = self._lookup(key)
         if measurement is None:
-            measurement = self._compute(benchmark_name, profile)
+            measurement, _ = self._compute(benchmark_name, profile)
             self._store(key, measurement)
         return self._relabel(measurement, benchmark_name, profile)
 
@@ -222,25 +238,46 @@ class BenchmarkRunner:
             return measurement
         return replace(measurement, benchmark=benchmark_name, profile=profile.name)
 
-    def _compute(self, benchmark_name: str, profile: Profile) -> Measurement:
-        """Measure one pair from scratch, checking the guest's output."""
+    def _compute(self, benchmark_name: str,
+                 profile: Profile) -> tuple[Measurement, bool]:
+        """Measure one recipe through the content memos; check the output.
+
+        Runs the passes, then answers from the module memo, else compiles
+        and answers from the program memo, else replays and costs the
+        program; a new measurement is stored under both keys.  Returns the
+        measurement under the requested names and whether a content key
+        answered it.
+        """
         from ..benchmarks import get_benchmark
 
         benchmark = get_benchmark(benchmark_name)
-        measurement = measure_program(
-            self.compile(benchmark_name, profile), benchmark_name, profile.name,
-            benchmark.args, benchmark.inputs, self.max_instructions,
-            self.translate)
+        run_inputs = (benchmark.args, benchmark.inputs, self.max_instructions,
+                      self.translate)
+        module = _optimized(self.frontend_module(benchmark_name), profile)
+        by_module = module_key(module, profile.cost_model, run_inputs)
+        measurement = self._by_module.get(by_module)
+        reused = measurement is not None
+        if not reused:
+            program = compile_module(module, profile.cost_model)
+            by_program = program_key(program, run_inputs)
+            measurement = self._by_program.get(by_program)
+            reused = measurement is not None
+            if not reused:
+                measurement = measure_program(
+                    program, benchmark_name, profile.name, benchmark.args,
+                    benchmark.inputs, self.max_instructions, self.translate)
+                self._by_program[by_program] = measurement
+            self._by_module[by_module] = measurement
+        measurement = self._relabel(measurement, benchmark_name, profile)
         output = measurement.trace.output
         if benchmark.expected_output is not None and \
                 output != benchmark.expected_output:
             raise AssertionError(
                 f"{benchmark_name} under {profile.name}: output {output} "
                 f"does not match expected {benchmark.expected_output}")
-        return measurement
+        return measurement, reused
 
     def measure_pairs(self, pairs: list[tuple[str, Profile]],
-                      use_cache: bool = True,
                       on_error: str = "raise") -> list[Optional[Measurement]]:
         """Measure a batch of (benchmark, profile) jobs in submission order.
 
@@ -256,8 +293,7 @@ class BenchmarkRunner:
         results: list[Optional[Measurement]] = []
         for benchmark_name, profile in pairs:
             try:
-                results.append(self.measure(benchmark_name, profile,
-                                            use_cache=use_cache))
+                results.append(self.measure(benchmark_name, profile))
             except Exception as exc:
                 if on_error == "none":
                     results.append(None)
