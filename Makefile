@@ -25,8 +25,9 @@
 #   make fuzz-smoke      ~200-seed differential fuzzing campaign across all
 #                        generator modes, journaled and restarted mid-way to
 #                        exercise --resume (minutes; fails on any divergence)
-#   make chaos           fault-injection suite: retries, timeouts, poison-job
-#                        quarantine, cache damage, campaign resume
+#   make chaos           fault-injection suite: run-once errors, timeout
+#                        retries, poison-job quarantine, cache damage,
+#                        campaign resume (CI runs it inside make test)
 #   make docs-check      markdown link check + GUIDE.md quickstart smoke run
 #   make bench           full pytest-benchmark harness (slow)
 
@@ -44,8 +45,10 @@ test-engine:
 	$(PYTHON) -m pytest -x -q tests/test_engine.py
 
 # The chaos suite: every fault the engine claims to survive, injected
-# deterministically (FaultPlan) and checked end to end — including a real
-# SIGINT of a running campaign followed by --resume.
+# deterministically (FaultPlan) and checked end to end — a raised error runs
+# once, only a timed-out job is retried — including a real SIGINT of a
+# running campaign followed by --resume.  Kept for local use: make test and
+# the coverage job already run this file.
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py
 

@@ -50,14 +50,12 @@ def run_report(workers: int | None = None, echo=print) -> dict:
     serial_s = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
-        cold = ExperimentEngine(workers=workers, cache_dir=cache_dir,
-                                parallel_threshold=1)
+        cold = ExperimentEngine(workers=workers, cache_dir=cache_dir)
         start = time.perf_counter()
         cold_results = cold.measure_pairs(pairs)
         cold_s = time.perf_counter() - start
 
-        warm = ExperimentEngine(workers=workers, cache_dir=cache_dir,
-                                parallel_threshold=1)
+        warm = ExperimentEngine(workers=workers, cache_dir=cache_dir)
         start = time.perf_counter()
         warm.measure_pairs(pairs)
         warm_s = time.perf_counter() - start

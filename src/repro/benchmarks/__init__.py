@@ -2,9 +2,9 @@
 
 Every benchmark is a MiniC source string registered under the paper's
 benchmark name.  Input sizes are reduced (as in the paper, and further, so
-pure-Python emulation stays tractable); each program prints a checksum so
-that the harness can verify that every optimization profile preserves
-behaviour.
+pure-Python emulation stays tractable); each program prints a checksum,
+pinned where it is registered, so that the harness can verify that every
+optimization profile preserves behaviour.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ class Benchmark:
     name: str
     suite: str
     source: str
+    #: What the guest prints: the IR interpreter's output on the unoptimized
+    #: module.  Every measurement, under every profile, must reproduce it.
+    expected_output: tuple[int, ...]
     description: str = ""
     uses_precompile: bool = False
     args: Optional[tuple[int, ...]] = None
     inputs: Optional[tuple[int, ...]] = None
-    expected_output: Optional[tuple[int, ...]] = None
 
 
 _REGISTRY: dict[str, Benchmark] = {}
@@ -33,10 +35,12 @@ _REGISTRY: dict[str, Benchmark] = {}
 def register(name: str, suite: str, source: str, description: str = "",
              uses_precompile: bool = False,
              args: Optional[list[int]] = None,
-             inputs: Optional[list[int]] = None) -> Benchmark:
+             inputs: Optional[list[int]] = None, *,
+             expected_output: tuple[int, ...]) -> Benchmark:
     if name in _REGISTRY:
         raise ValueError(f"duplicate benchmark: {name}")
     benchmark = Benchmark(name=name, suite=suite, source=source,
+                          expected_output=tuple(expected_output),
                           description=description, uses_precompile=uses_precompile,
                           args=tuple(args) if args else None,
                           inputs=tuple(inputs) if inputs else None)

@@ -76,7 +76,8 @@ fn main() -> int {
   print(digest);
   return digest;
 }
-""", "SHA-256 compression of one block, implemented in guest code")
+""", "SHA-256 compression of one block, implemented in guest code",
+         expected_output=(-1707578359,))
 
 register("sha2-bench", "crypto", SHA256_LIB + """
 const BLOCKS = 4;
@@ -93,7 +94,8 @@ fn main() -> int {
   print(digest);
   return digest;
 }
-""", "SHA-256 over a multi-block message (software)")
+""", "SHA-256 over a multi-block message (software)",
+         expected_output=(1078388734,))
 
 register("sha2-chain", "crypto", SHA256_LIB + """
 const ROUNDS = 6;
@@ -111,7 +113,8 @@ fn main() -> int {
   print(digest);
   return digest;
 }
-""", "Iterated (chained) SHA-256 hashing (software)")
+""", "Iterated (chained) SHA-256 hashing (software)",
+         expected_output=(56417653,))
 
 # A 32-bit Keccak-style permutation used by the sha3 software benchmarks.
 KECCAK_LIB = """
@@ -172,7 +175,8 @@ fn main() -> int {
   print(digest);
   return digest;
 }
-""", "Keccak-style sponge absorbing a multi-block message (software)")
+""", "Keccak-style sponge absorbing a multi-block message (software)",
+         expected_output=(595531508,))
 
 register("sha3-chain", "crypto", KECCAK_LIB + """
 const CHAIN = 6;
@@ -187,7 +191,8 @@ fn main() -> int {
   print(digest);
   return digest;
 }
-""", "Iterated Keccak-style permutation (software)")
+""", "Iterated Keccak-style permutation (software)",
+         expected_output=(-1521186750,))
 
 register("keccak256", "crypto", """
 // Chained Keccak-256 hashing through the zkVM precompile.
@@ -206,7 +211,8 @@ fn main() -> int {
   print(out);
   return out;
 }
-""", "Keccak-256 chained hashing via the precompile", uses_precompile=True)
+""", "Keccak-256 chained hashing via the precompile", uses_precompile=True,
+         expected_output=(-1425607791,))
 
 register("merkle", "crypto", SHA256_LIB + """
 // Merkle tree over 8 leaves with an inclusion-proof check (software SHA-256).
@@ -243,7 +249,8 @@ fn main() -> int {
   print(root);
   return root;
 }
-""", "Merkle tree construction and root computation (software SHA-256)")
+""", "Merkle tree construction and root computation (software SHA-256)",
+         expected_output=(-105468536,))
 
 # Build valid stand-in signatures at benchmark-definition time so the guest's
 # verification succeeds (mirrors embedding a known-good signature in the guest).
@@ -276,7 +283,8 @@ fn main() -> int {{
   print(ok);
   return ok;
 }}
-""", "ECDSA verification through the precompile", uses_precompile=True)
+""", "ECDSA verification through the precompile", uses_precompile=True,
+         expected_output=(4,))
 
 register("eddsa-verify", "crypto", f"""
 // Ed25519-style signature verification via the zkVM precompile.
@@ -296,4 +304,5 @@ fn main() -> int {{
   print(ok);
   return ok;
 }}
-""", "EdDSA verification through the precompile", uses_precompile=True)
+""", "EdDSA verification through the precompile", uses_precompile=True,
+         expected_output=(4,))

@@ -24,7 +24,7 @@ fn main() -> int {
   print(result);
   return result;
 }
-""", "Iterative Fibonacci sequence")
+""", "Iterative Fibonacci sequence", expected_output=(6024,))
 
 register("factorial", "misc", """
 // Recursive and iterative factorial, compared against each other.
@@ -49,7 +49,7 @@ fn main() -> int {
   print(r);
   return r;
 }
-""", "Recursive vs iterative factorial")
+""", "Recursive vs iterative factorial", expected_output=(1954750,))
 
 register("loop-sum", "misc", """
 // Simple loop-heavy summation with a few divisions sprinkled in.
@@ -63,7 +63,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "Loop-heavy arithmetic summation")
+""", "Loop-heavy arithmetic summation", expected_output=(12949125,))
 
 register("tailcall", "misc", """
 // The paper's Figure 11 shape: a small worker function called in a hot loop;
@@ -87,7 +87,8 @@ fn main() -> int {
   print(result);
   return result;
 }
-""", "Tail-recursive accumulation over a worker loop (Figure 11 shape)")
+""", "Tail-recursive accumulation over a worker loop (Figure 11 shape)",
+         expected_output=(637893,))
 
 register("bigmem", "misc", """
 // Allocation/paging-heavy benchmark: strided writes over a large buffer.
@@ -106,7 +107,8 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "Memory-heavy strided writes over a 16 KiB buffer")
+""", "Memory-heavy strided writes over a 16 KiB buffer",
+         expected_output=(32896,))
 
 register("regex-match", "misc", """
 // Regular-expression matching: '.'-and-'*' pattern matcher (dynamic programming).
@@ -160,7 +162,8 @@ fn main() -> int {
   print(matched);
   return matched;
 }
-""", "Regex matching with '.' and '*' via dynamic programming")
+""", "Regex matching with '.' and '*' via dynamic programming",
+         expected_output=(8,))
 
 register("zkvm-mnist", "misc", """
 // Tiny fixed-point MLP inference on 7x7 'MNIST' images: 49 -> 12 -> 10.
@@ -216,4 +219,5 @@ fn main() -> int {
   print(summary);
   return summary;
 }
-""", "Fixed-point neural-network inference and update on 7x7 images")
+""", "Fixed-point neural-network inference and update on 7x7 images",
+         expected_output=(1885,))

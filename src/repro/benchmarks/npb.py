@@ -11,8 +11,10 @@ from __future__ import annotations
 from . import register
 
 
-def _register(name: str, source: str, description: str) -> None:
-    register(f"npb-{name}", "npb", source, description)
+def _register(name: str, source: str, description: str,
+              expected_output: tuple[int, ...]) -> None:
+    register(f"npb-{name}", "npb", source, description,
+             expected_output=expected_output)
 
 
 _register("ep", """
@@ -38,7 +40,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "EP: pseudo-random pair generation and binning")
+""", "EP: pseudo-random pair generation and binning", expected_output=(3995,))
 
 _register("cg", """
 // Conjugate Gradient: repeated sparse matrix-vector products.
@@ -76,7 +78,7 @@ fn main() -> int {
   print(rho);
   return rho;
 }
-""", "CG: sparse matrix-vector iteration")
+""", "CG: sparse matrix-vector iteration", expected_output=(24,))
 
 _register("is", """
 // Integer Sort: counting sort over a small key range.
@@ -102,7 +104,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "IS: bucket/counting sort of integer keys")
+""", "IS: bucket/counting sort of integer keys", expected_output=(2126,))
 
 _register("ft", """
 // FT: butterfly-structured transform passes over a signal (integer DFT stand-in).
@@ -133,7 +135,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "FT: butterfly transform passes")
+""", "FT: butterfly transform passes", expected_output=(-2861,))
 
 _register("mg", """
 // MG: V-cycle style multi-level relaxation on a 1-D grid.
@@ -166,7 +168,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "MG: multigrid V-cycle relaxation")
+""", "MG: multigrid V-cycle relaxation", expected_output=(3192,))
 
 _register("lu", """
 // LU: SSOR-style sweeps with forward/backward dependent updates over a 2-D grid.
@@ -196,7 +198,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "LU: SSOR sweeps over a structured grid")
+""", "LU: SSOR sweeps over a structured grid", expected_output=(122,))
 
 _register("sp", """
 // SP: scalar pentadiagonal line solves along both grid dimensions.
@@ -236,7 +238,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "SP: scalar pentadiagonal line solves")
+""", "SP: scalar pentadiagonal line solves", expected_output=(168,))
 
 _register("bt", """
 // BT: block-tridiagonal solves; 2x2 blocks along grid lines.
@@ -276,4 +278,4 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "BT: block-tridiagonal line solves")
+""", "BT: block-tridiagonal line solves", expected_output=(-578,))

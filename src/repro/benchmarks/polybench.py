@@ -31,8 +31,10 @@ fn poly_checksum(v, n) -> int {
 """
 
 
-def _register(name: str, body: str, description: str) -> None:
-    register(f"polybench-{name}", "polybench", PRELUDE + body, description)
+def _register(name: str, body: str, description: str,
+              expected_output: tuple[int, ...]) -> None:
+    register(f"polybench-{name}", "polybench", PRELUDE + body, description,
+             expected_output=expected_output)
 
 
 _register("2mm", """
@@ -66,7 +68,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Two matrix multiplications D = alpha*A*B*C + beta*D")
+""", "Two matrix multiplications D = alpha*A*B*C + beta*D",
+          expected_output=(-274639040,))
 
 _register("3mm", """
 const N = 8;
@@ -94,7 +97,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Three chained matrix multiplications G = (A*B)*(C*D)")
+""", "Three chained matrix multiplications G = (A*B)*(C*D)",
+          expected_output=(1349902336,))
 
 _register("adi", """
 const N = 10; const TSTEPS = 3;
@@ -128,7 +132,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Alternating-direction implicit solver")
+""", "Alternating-direction implicit solver", expected_output=(-450448,))
 
 _register("atax", """
 const M = 10; const N = 10;
@@ -147,7 +151,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Matrix transpose times vector product y = A^T (A x)")
+""", "Matrix transpose times vector product y = A^T (A x)",
+          expected_output=(333789522,))
 
 _register("bicg", """
 const M = 10; const N = 10;
@@ -168,7 +173,7 @@ fn main() -> int {
   print(c);
   return c;
 }
-""", "BiCG sub-kernel of BiCGStab")
+""", "BiCG sub-kernel of BiCGStab", expected_output=(216425451,))
 
 _register("cholesky", """
 const N = 10;
@@ -195,7 +200,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Cholesky decomposition (integer variant)")
+""", "Cholesky decomposition (integer variant)", expected_output=(222129,))
 
 _register("correlation", """
 const M = 8; const N = 10;
@@ -232,7 +237,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Correlation matrix computation")
+""", "Correlation matrix computation", expected_output=(260,))
 
 _register("covariance", """
 const M = 8; const N = 10;
@@ -263,7 +268,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Covariance matrix computation")
+""", "Covariance matrix computation", expected_output=(63416590,))
 
 _register("deriche", """
 const W = 12; const H = 8;
@@ -296,7 +301,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Deriche recursive edge-detection filter")
+""", "Deriche recursive edge-detection filter", expected_output=(-3182980,))
 
 _register("doitgen", """
 const NR = 6; const NQ = 6; const NP = 6;
@@ -320,7 +325,8 @@ fn main() -> int {
   print(c);
   return c;
 }
-""", "Multi-resolution analysis kernel (MADNESS)")
+""", "Multi-resolution analysis kernel (MADNESS)",
+          expected_output=(-252017692,))
 
 _register("durbin", """
 const N = 16;
@@ -344,7 +350,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Toeplitz system solver (Durbin recursion)")
+""", "Toeplitz system solver (Durbin recursion)", expected_output=(7996,))
 
 _register("fdtd-2d", """
 const NX = 10; const NY = 8; const TSTEPS = 3;
@@ -376,7 +382,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "2-D finite-difference time-domain kernel")
+""", "2-D finite-difference time-domain kernel", expected_output=(-901529,))
 
 _register("floyd-warshall", """
 const N = 12;
@@ -402,7 +408,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "All-pairs shortest paths (Floyd-Warshall)")
+""", "All-pairs shortest paths (Floyd-Warshall)", expected_output=(18382,))
 
 _register("gemm", """
 const NI = 10; const NJ = 10; const NK = 10;
@@ -423,7 +429,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "General matrix multiplication C = alpha*A*B + beta*C")
+""", "General matrix multiplication C = alpha*A*B + beta*C",
+          expected_output=(768963402,))
 
 _register("gemver", """
 const N = 12;
@@ -452,7 +459,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Vector multiplication and matrix addition (BLAS gemver)")
+""", "Vector multiplication and matrix addition (BLAS gemver)",
+          expected_output=(1837254616,))
 
 _register("gesummv", """
 const N = 12;
@@ -474,7 +482,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Scalar, vector and matrix multiplication (BLAS gesummv)")
+""", "Scalar, vector and matrix multiplication (BLAS gesummv)",
+          expected_output=(1158915484,))
 
 _register("gramschmidt", """
 const M = 8; const N = 8;
@@ -509,7 +518,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Gram-Schmidt orthonormalization (fixed point)")
+""", "Gram-Schmidt orthonormalization (fixed point)",
+          expected_output=(4077261,))
 
 _register("heat-3d", """
 const N = 6; const TSTEPS = 3;
@@ -542,7 +552,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "3-D heat equation stencil")
+""", "3-D heat equation stencil", expected_output=(-11411506,))
 
 _register("jacobi-1d", """
 const N = 48; const TSTEPS = 6;
@@ -559,7 +569,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "1-D Jacobi stencil")
+""", "1-D Jacobi stencil", expected_output=(-628772,))
 
 _register("jacobi-2d", """
 const N = 10; const TSTEPS = 3;
@@ -586,7 +596,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "2-D Jacobi stencil")
+""", "2-D Jacobi stencil", expected_output=(-2296263,))
 
 _register("lu", """
 const N = 10;
@@ -611,7 +621,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "LU decomposition without pivoting")
+""", "LU decomposition without pivoting", expected_output=(175959,))
 
 _register("ludcmp", """
 const N = 10;
@@ -650,7 +660,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "LU decomposition followed by forward/backward substitution")
+""", "LU decomposition followed by forward/backward substitution",
+          expected_output=(0,))
 
 _register("mvt", """
 const N = 12;
@@ -670,7 +681,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Matrix-vector product and transpose")
+""", "Matrix-vector product and transpose", expected_output=(378661022,))
 
 _register("nussinov", """
 const N = 14;
@@ -702,7 +713,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "RNA secondary-structure prediction (Nussinov dynamic programming)")
+""", "RNA secondary-structure prediction (Nussinov dynamic programming)",
+          expected_output=(6612,))
 
 _register("seidel-2d", """
 const N = 10; const TSTEPS = 3;
@@ -724,7 +736,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "2-D Gauss-Seidel stencil")
+""", "2-D Gauss-Seidel stencil", expected_output=(-2574490,))
 
 _register("symm", """
 const M = 8; const N = 8;
@@ -747,7 +759,8 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Symmetric matrix multiplication (BLAS symm)")
+""", "Symmetric matrix multiplication (BLAS symm)",
+          expected_output=(-1134457184,))
 
 _register("syr2k", """
 const N = 8; const M = 8;
@@ -768,7 +781,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Symmetric rank-2k update (BLAS syr2k)")
+""", "Symmetric rank-2k update (BLAS syr2k)", expected_output=(-1631417044,))
 
 _register("syrk", """
 const N = 8; const M = 8;
@@ -789,7 +802,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Symmetric rank-k update (BLAS syrk)")
+""", "Symmetric rank-k update (BLAS syrk)", expected_output=(-1743539616,))
 
 _register("trisolv", """
 const N = 14;
@@ -811,7 +824,7 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Triangular system solve")
+""", "Triangular system solve", expected_output=(13,))
 
 _register("trmm", """
 const M = 8; const N = 8;
@@ -832,4 +845,5 @@ fn main() -> int {
   print(s);
   return s;
 }
-""", "Triangular matrix multiplication (BLAS trmm)")
+""", "Triangular matrix multiplication (BLAS trmm)",
+          expected_output=(-110309152,))

@@ -91,4 +91,4 @@ fn main() -> int {
   return result;
 }
 """, "EVM-style block execution with precompile-hashed transactions",
-         uses_precompile=True)
+         uses_precompile=True, expected_output=(25276845,))

@@ -38,7 +38,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "mcf-style network relaxation")
+""", "mcf-style network relaxation", expected_output=(52462,))
 
 register("spec-619", "spec", """
 // 619.lbm stand-in: 1-D lattice-Boltzmann stream-and-collide passes.
@@ -75,7 +75,7 @@ fn main() -> int {
   print(acc);
   return acc;
 }
-""", "lbm-style stream/collide stencil")
+""", "lbm-style stream/collide stencil", expected_output=(16547,))
 
 register("spec-631", "spec", """
 // 631.deepsjeng stand-in: fixed-depth alpha-beta search over a deterministic
@@ -122,4 +122,4 @@ fn main() -> int {
   print(total);
   return total;
 }
-""", "deepsjeng-style alpha-beta game-tree search")
+""", "deepsjeng-style alpha-beta game-tree search", expected_output=(-646,))

@@ -115,7 +115,6 @@ class UsageError(Exception):
 # -- engine / profile plumbing ------------------------------------------------
 def _make_engine(args):
     from .experiments.engine import ExperimentEngine
-    from .experiments.faults import RetryPolicy
 
     return ExperimentEngine(
         max_instructions=args.max_instructions,
@@ -123,7 +122,7 @@ def _make_engine(args):
         cache_dir=args.cache_dir,
         use_disk_cache=not args.no_disk_cache,
         job_timeout=args.job_timeout,
-        retry_policy=RetryPolicy(max_attempts=max(1, args.retries)),
+        timeout_attempts=args.retries,
     )
 
 
@@ -461,7 +460,7 @@ def _cmd_lower(args) -> int:
 
 def _cmd_encode(args) -> int:
     from .analysis.reporting import format_table
-    from .backend.encoding import encode_program
+    from .backend.encoding import code_size_report, encode_program
     from .experiments.profiles import profile_by_name
 
     engine = _make_engine(args)
@@ -472,28 +471,25 @@ def _cmd_encode(args) -> int:
     report = []
     for benchmark_name in benchmarks:
         program = engine.compile(benchmark_name, profile)
-        plain = encode_program(program)
-        packed = encode_program(program, rvc=True)
+        # The compile already encoded both variants for this report.
+        sizes = code_size_report(program)
         if args.hex:
-            chosen = packed if args.rvc else plain
+            chosen = encode_program(program, rvc=args.rvc)
             print(f"# {benchmark_name} — {profile.name}, "
                   f"{'RVC' if args.rvc else 'RV32I'}, "
                   f"{chosen.code_bytes} bytes")
             print(chosen.hexdump())
             print()
-        entry = {"benchmark": benchmark_name,
-                 "code_bytes": {"rv32": plain.code_bytes,
-                                "rvc": packed.code_bytes},
-                 "functions": {}}
-        for function_name, rv32_bytes in plain.function_sizes.items():
-            rvc_bytes = packed.function_sizes[function_name]
+        report.append({"benchmark": benchmark_name,
+                       "code_bytes": {"rv32": sizes["rv32"],
+                                      "rvc": sizes["rvc"]},
+                       "functions": sizes["functions"]})
+        for function_name, size in sizes["functions"].items():
+            rv32_bytes, rvc_bytes = size["rv32"], size["rvc"]
             reduction = ((rv32_bytes - rvc_bytes) / rv32_bytes * 100
                          if rv32_bytes else 0.0)
             rows.append([benchmark_name, function_name, rv32_bytes,
                          rvc_bytes, f"{reduction:.1f}"])
-            entry["functions"][function_name] = {"rv32": rv32_bytes,
-                                                 "rvc": rvc_bytes}
-        report.append(entry)
     if args.json:
         _emit({"profile": profile.name, "benchmarks": report}, as_json=True)
         return 0
@@ -604,9 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "worker killed and is retried or quarantined "
                              "(default: no timeout)")
     parser.add_argument("--retries", type=int, default=3,
-                        help="attempts per batched job before it is "
-                             "quarantined (transient failures and timeouts "
-                             "only; default: 3)")
+                        help="attempts a batched job that exceeds "
+                             "--job-timeout gets before it is quarantined; "
+                             "a job that raises runs once (default: 3)")
     # dest avoids colliding with 'repro lower --stats' (a different report).
     parser.add_argument("--stats", dest="engine_stats", action="store_true",
                         help="print full engine/cache fault-tolerance "

@@ -1,6 +1,6 @@
 """The experiment harness: profiles, the measurement runner, the parallel
 disk-cached experiment engine, and one regenerator per paper table and figure
-(see DESIGN.md for the index).
+(README.md's "Regenerating the paper's figures and tables" indexes them).
 
 Use :class:`BenchmarkRunner` for small serial studies and
 :class:`ExperimentEngine` (or ``python -m repro``) when you want the
@@ -17,8 +17,7 @@ from .runner import BenchmarkRunner, Measurement, percent_change, warm_matrix
 from .cache import CacheStats, MeasurementCache, measurement_fingerprint
 from .engine import EngineStats, ExperimentEngine
 from .faults import (
-    FaultPlan, FaultSpec, JobFailure, PoisonJobError, RetryPolicy,
-    TransientError, classify_error, fault_point,
+    FaultPlan, FaultSpec, JobFailure, PoisonJobError, fault_point,
 )
 from .journal import (
     CampaignJournal, JournalMismatch, default_journal_dir,
@@ -33,8 +32,7 @@ __all__ = [
     "BenchmarkRunner", "Measurement", "percent_change", "warm_matrix",
     "CacheStats", "MeasurementCache", "measurement_fingerprint",
     "EngineStats", "ExperimentEngine",
-    "FaultPlan", "FaultSpec", "JobFailure", "PoisonJobError", "RetryPolicy",
-    "TransientError", "classify_error", "fault_point",
+    "FaultPlan", "FaultSpec", "JobFailure", "PoisonJobError", "fault_point",
     "CampaignJournal", "JournalMismatch", "default_journal_dir",
     "resolve_journal_path",
     "figures", "tables",

@@ -13,13 +13,14 @@ three things the serial runner lacks:
   cost-model version.  Re-running a figure, table or autotuner generation
   with unchanged inputs completes from the cache with zero re-emulations.
 * **Fault tolerance** — worker failure is treated as the normal case, not a
-  batch-aborting event.  Transient errors are retried under a deterministic
-  :class:`~repro.experiments.faults.RetryPolicy`; a job that exceeds the
-  per-job wall-clock ``job_timeout`` has its (hung) workers killed by a
-  watchdog instead of stalling the batch; a dead pool salvages every
+  batch-aborting event.  Every job is deterministic, so a job that raises is
+  recorded once and never re-run.  Only host load can change a job's
+  outcome: a job that exceeds the per-job wall-clock ``job_timeout`` has its
+  (hung) workers killed by a watchdog instead of stalling the batch, and
+  gets up to ``timeout_attempts`` attempts; a dead pool salvages every
   already-completed result and resubmits only the remainder on a fresh pool;
-  a job that repeatedly kills its worker is bisected down to the specific
-  poison job and quarantined as a structured
+  a job that kills its worker is bisected down to the specific poison job
+  and quarantined as a structured
   :class:`~repro.experiments.faults.JobFailure` record while every other job
   in the batch returns a real result.
 
@@ -36,20 +37,20 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .cache import MeasurementCache
 from .faults import (
-    FAULT_PLAN_ENV, JobFailure, RetryPolicy, failure_from_exception,
-    fault_point, worker_fault_init,
+    FAULT_PLAN_ENV, JobFailure, failure_from_exception, fault_point,
+    worker_fault_init,
 )
 from .profiles import Profile
 from .runner import BenchmarkRunner, Measurement
 
 #: Batches smaller than this run in-process: forking a pool costs more than it
-#: saves for one or two jobs.
-DEFAULT_PARALLEL_THRESHOLD = 2
+#: saves for one job.
+PARALLEL_THRESHOLD = 2
 
 #: Per-process runner reuse inside pool workers: one worker parses each
 #: benchmark's frontend module once and keeps its runner's module and program
@@ -102,13 +103,14 @@ class EngineStats:
     #: one or a pool worker) had measured, so the backend or the replay was
     #: skipped.
     reused: int = 0
-    #: Jobs that exhausted their attempts and were reported as failures.
+    #: Jobs reported as failures: raised, timed out on every attempt, or
+    #: quarantined.
     errors: int = 0
     #: Number of batches that ran on a process pool.
     parallel_batches: int = 0
     #: Jobs executed on a process pool.
     parallel_jobs: int = 0
-    #: Job re-submissions after a transient error or a retryable timeout.
+    #: Re-submissions of jobs that exceeded ``job_timeout``.
     retries: int = 0
     #: Jobs that exceeded the per-job wall-clock budget (per occurrence).
     timeouts: int = 0
@@ -118,13 +120,7 @@ class EngineStats:
     salvaged: int = 0
 
     def as_dict(self) -> dict:
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "computed": self.computed, "reused": self.reused,
-                "errors": self.errors,
-                "parallel_batches": self.parallel_batches,
-                "parallel_jobs": self.parallel_jobs,
-                "retries": self.retries, "timeouts": self.timeouts,
-                "quarantined": self.quarantined, "salvaged": self.salvaged}
+        return asdict(self)
 
 
 class ExperimentEngine(BenchmarkRunner):
@@ -138,23 +134,21 @@ class ExperimentEngine(BenchmarkRunner):
     cache_dir / use_disk_cache:
         Where measurements persist; ``use_disk_cache=False`` keeps the engine
         purely in-memory (e.g. for hermetic tests).
-    parallel_threshold:
-        Minimum number of *uncached* jobs in a batch before a pool is spun up.
     job_timeout:
         Per-job wall-clock budget in seconds (None disables).  Enforced by a
         watchdog on pooled batches only: a job observed running longer than
         this gets its workers killed, the batch's completed results are
         salvaged and the remainder resubmitted on a fresh pool.  Serial
         execution cannot preempt a job and ignores the budget.
-    retry_policy:
-        How transient failures and timeouts are retried (see
-        :class:`~repro.experiments.faults.RetryPolicy`); defaults to 3
-        attempts with deterministic jittered backoff.
+    timeout_attempts:
+        Attempts a job that exceeds ``job_timeout`` gets before it is
+        quarantined (CLI ``--retries``).  A job that raises is never re-run.
 
     Single ``measure()`` calls are answered from the caches or computed
     in-process; only the batch APIs (:meth:`measure_pairs` /
-    :meth:`map_jobs`) shard work across processes and engage the
-    retry/timeout/quarantine machinery.  Results are relabeled to
+    :meth:`map_jobs`) shard work across processes (batches of at least
+    :data:`PARALLEL_THRESHOLD` uncached jobs) and engage the
+    timeout/quarantine machinery.  Results are relabeled to
     the requesting profile's name, so content-equal profiles (say, an
     autotuner candidate that equals ``-O2``) share cache entries without
     leaking each other's names.  Jobs the engine gave up on are accumulated
@@ -164,22 +158,16 @@ class ExperimentEngine(BenchmarkRunner):
 
     def __init__(self, max_instructions: int = 20_000_000,
                  workers: Optional[int] = None,
-                 cache: Optional[MeasurementCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk_cache: bool = True,
-                 parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
                  translate: bool = False,
                  job_timeout: Optional[float] = None,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 timeout_attempts: int = 3):
         super().__init__(max_instructions=max_instructions, translate=translate)
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if cache is None and use_disk_cache:
-            cache = MeasurementCache(cache_dir)
-        self.cache = cache
-        self.parallel_threshold = max(1, parallel_threshold)
+        self.cache = MeasurementCache(cache_dir) if use_disk_cache else None
         self.job_timeout = job_timeout
-        self.retry_policy = retry_policy if retry_policy is not None \
-            else RetryPolicy()
+        self.timeout_attempts = timeout_attempts
         self.stats = EngineStats()
         #: JobFailure records for every job this engine gave up on.
         self.failures: list[JobFailure] = []
@@ -295,8 +283,8 @@ class ExperimentEngine(BenchmarkRunner):
         batches (the differential fuzzer's seed shards use it): ``fn`` must be
         a module-level callable and each job picklable.  Results come back
         aligned with ``jobs``.  Uses the same long-lived pool, threshold,
-        retry/timeout/quarantine and salvage behaviour as measurement
-        batches; no caching is done — callers own dedupe/persistence.
+        timeout/quarantine and salvage behaviour as measurement batches; no
+        caching is done — callers own dedupe/persistence.
 
         ``on_error`` follows :meth:`measure_pairs` (``"raise"`` / ``"none"``
         / ``"report"``).  ``labels`` names jobs in failure records and
@@ -342,7 +330,8 @@ class ExperimentEngine(BenchmarkRunner):
         full fault-tolerance machinery (:meth:`_run_group`).  When no pool
         can exist at all (restricted sandbox, broken fork) execution degrades
         to in-process — resuming from whatever the pool already finished, so
-        a completed job is never re-run by the fallback.
+        a completed job is never re-run by the fallback.  In-process, each
+        job runs once: its result, or the JobFailure of what it raised.
         """
         jobs = list(jobs)
         labels = list(labels) if labels is not None else \
@@ -358,7 +347,7 @@ class ExperimentEngine(BenchmarkRunner):
                 on_result(index, outcome)
 
         if (self.workers > 1 and not self._parallel_disabled
-                and len(jobs) >= self.parallel_threshold):
+                and len(jobs) >= PARALLEL_THRESHOLD):
             self.stats.parallel_batches += 1
             try:
                 self._run_group(fn, jobs, labels, list(range(len(jobs))),
@@ -372,28 +361,14 @@ class ExperimentEngine(BenchmarkRunner):
         run = serial_fn if serial_fn is not None else fn
         for index, outcome in enumerate(outcomes):
             if outcome is _UNRESOLVED:
-                finalize(index, self._run_serial_job(run, jobs[index],
-                                                     labels[index], attempts,
-                                                     index))
+                attempts[index] += 1
+                try:
+                    outcome = run(jobs[index])
+                except Exception as exc:
+                    outcome = failure_from_exception(labels[index], exc,
+                                                     attempts[index])
+                finalize(index, outcome)
         return outcomes
-
-    def _run_serial_job(self, fn, job, label: str, attempts: list, index: int):
-        """In-process execution of one job under the retry policy."""
-        policy = self.retry_policy
-        while True:
-            attempts[index] += 1
-            try:
-                return fn(job)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                classification = policy.classify(exc)
-                if policy.should_retry(classification, attempts[index]):
-                    self.stats.retries += 1
-                    time.sleep(policy.delay_for(label, attempts[index]))
-                    continue
-                return failure_from_exception(label, exc, attempts[index],
-                                              classification=classification)
 
     def _run_group(self, fn, jobs: list, labels: list, indices: list,
                    attempts: list, finalize) -> None:
@@ -402,12 +377,13 @@ class ExperimentEngine(BenchmarkRunner):
         This is the fault-tolerant core.  One iteration of the outer loop
         submits every pending index and watches the futures:
 
-        * a future that completes finalizes its job (or schedules a retry
-          under the policy);
+        * a future that completes finalizes its job, with its result or the
+          JobFailure of what it raised;
         * a job observed *running* longer than ``job_timeout`` trips the
           watchdog: the pool's workers are killed, the timed-out job is
-          retried or quarantined, and every other in-flight job is
-          resubmitted with no attempt penalty;
+          resubmitted until it has had ``timeout_attempts`` attempts, then
+          quarantined, and every other in-flight job is resubmitted with no
+          attempt penalty;
         * a pool death (``BrokenProcessPool``) keeps every result that
           completed before the crash (**salvage**), then isolates the killer:
           a single unresolved job is the proven poison job and is
@@ -418,16 +394,12 @@ class ExperimentEngine(BenchmarkRunner):
         """
         from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 
-        policy = self.retry_policy
         pending = list(indices)
-        retry_sleep = 0.0
         while pending:
             try:
                 pool = self._ensure_pool()
             except (ImportError, OSError) as exc:
                 raise _PoolUnavailable from exc
-            if retry_sleep > 0:
-                time.sleep(retry_sleep)
             futures = {}
             try:
                 for index in pending:
@@ -442,7 +414,6 @@ class ExperimentEngine(BenchmarkRunner):
                 continue  # resubmit the whole round on a fresh pool
             self.stats.parallel_jobs += len(pending)
             pending = []
-            retry_sleep = 0.0
 
             started: dict[int, float] = {}
             timed_out: list[int] = []
@@ -467,17 +438,8 @@ class ExperimentEngine(BenchmarkRunner):
                             pool_broken = True
                             broken_victims.append(index)
                         else:
-                            classification = policy.classify(exc)
-                            if policy.should_retry(classification,
-                                                   attempts[index]):
-                                self.stats.retries += 1
-                                pending.append(index)
-                                retry_sleep = max(retry_sleep, policy.delay_for(
-                                    labels[index], attempts[index]))
-                            else:
-                                finalize(index, failure_from_exception(
-                                    labels[index], exc, attempts[index],
-                                    classification=classification))
+                            finalize(index, failure_from_exception(
+                                labels[index], exc, attempts[index]))
                     if (self.job_timeout is not None and not_done
                             and not pool_broken):
                         now = time.monotonic()
@@ -494,7 +456,7 @@ class ExperimentEngine(BenchmarkRunner):
                 raise
 
             if not pool_broken and not timed_out:
-                continue  # round fully resolved; loop drains retries
+                continue  # round fully resolved
 
             # The pool is dead (or about to be killed by the watchdog):
             # everything finalized above survives — that is the salvage.
@@ -507,16 +469,13 @@ class ExperimentEngine(BenchmarkRunner):
                 for index in sorted(timed_out):
                     self.stats.timeouts += 1
                     unresolved.remove(index)
-                    if policy.should_retry("timeout", attempts[index]):
+                    if attempts[index] < self.timeout_attempts:
                         self.stats.retries += 1
                         pending.append(index)
-                        retry_sleep = max(retry_sleep, policy.delay_for(
-                            labels[index], attempts[index]))
                     else:
                         finalize(index, JobFailure(
                             job=labels[index], stage="timeout",
                             attempts=attempts[index],
-                            classification="timeout",
                             error_type="JobTimeout",
                             message=f"exceeded the {self.job_timeout:.3g}s "
                                     f"per-job wall-clock budget"))
@@ -529,14 +488,13 @@ class ExperimentEngine(BenchmarkRunner):
 
             if len(unresolved) == 1:
                 # Proven poison job: it was alone in flight when the pool
-                # died.  Killing a worker is deterministic behaviour, not a
-                # transient fault — quarantine immediately.
+                # died.  Killing a worker is deterministic behaviour —
+                # quarantine immediately.
                 index = unresolved[0]
                 self.stats.quarantined += 1
                 finalize(index, JobFailure(
                     job=labels[index], stage="pool-kill",
-                    attempts=attempts[index], classification="crash",
-                    error_type="WorkerCrash",
+                    attempts=attempts[index], error_type="WorkerCrash",
                     message="killed its worker process (isolated by "
                             "bisection; the process pool died with this "
                             "job alone in flight)"))
@@ -614,4 +572,4 @@ class ExperimentEngine(BenchmarkRunner):
             pass
 
 
-__all__ = ["DEFAULT_PARALLEL_THRESHOLD", "EngineStats", "ExperimentEngine"]
+__all__ = ["EngineStats", "ExperimentEngine", "PARALLEL_THRESHOLD"]

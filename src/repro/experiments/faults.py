@@ -3,21 +3,17 @@
 Long campaigns (figure regenerations, autotune generations, thousand-seed
 fuzzing runs) are exactly the workloads where individual worker failures stop
 being exceptional: a candidate that compiles into a pathological program can
-hang its worker, an OOM-killed process takes the whole pool down with it, and
-a flaky filesystem turns one cache write into a lost batch.  This module
-gives :class:`~repro.experiments.engine.ExperimentEngine` the vocabulary to
-treat those events as data instead of crashes:
+hang its worker, and an OOM-killed process takes the whole pool down with it.
+Every job is deterministic, so a job that raises would raise again: the
+engine records it once and never retries it.  This module gives
+:class:`~repro.experiments.engine.ExperimentEngine` the vocabulary to treat
+those events as data instead of crashes:
 
-:class:`RetryPolicy`
-    Bounded retries with exponential backoff and *deterministic* seeded
-    jitter (two runs of the same campaign sleep the same amounts), plus the
-    transient-vs-permanent error classification that decides which failures
-    are worth retrying at all.
 :class:`JobFailure`
     The structured quarantine record a failing job resolves to: job
-    identity, failure stage, attempt count, classification and the worker
-    traceback.  Batch APIs return these instead of silently mapping a
-    poisoned job to ``None``.
+    identity, failure stage, attempt count and the worker traceback.  Batch
+    APIs return these instead of silently mapping a poisoned job to
+    ``None``.
 :class:`FaultPlan` / :func:`fault_point`
     A deterministic fault-injection harness for the chaos test suite.  A
     plan is a list of :class:`FaultSpec` triggers matched at named injection
@@ -32,90 +28,19 @@ engine and the campaign drivers can all use it without import cycles.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Optional
 
 
-class TransientError(RuntimeError):
-    """Base class for errors that are worth retrying by default."""
-
-
-class InjectedTransientError(TransientError):
-    """Raised by the fault-injection harness for retryable failures."""
-
-
 class InjectedPermanentError(RuntimeError):
-    """Raised by the fault-injection harness for non-retryable failures."""
-
-
-#: Exception types classified as transient out of the box.  Deliberately
-#: narrow: a ValueError from a miscompiled candidate will fail identically on
-#: every retry, so only plumbing-shaped errors (connections, timeouts, our
-#: own marker class) default to "try again".
-TRANSIENT_ERROR_TYPES: tuple = (TransientError, ConnectionError, TimeoutError,
-                                InterruptedError)
-
-
-def classify_error(exc: BaseException, extra_transient: tuple = ()) -> str:
-    """``"transient"`` (worth retrying) or ``"permanent"`` (deterministic)."""
-    if isinstance(exc, TRANSIENT_ERROR_TYPES + tuple(extra_transient)):
-        return "transient"
-    return "permanent"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, deterministic retry behaviour for one engine.
-
-    ``max_attempts`` counts the first attempt: the default of 3 means one
-    run plus up to two retries.  Delays grow as
-    ``base_delay * backoff**(attempt-1)`` capped at ``max_delay``, then
-    shrink by up to ``jitter`` (a fraction) using a hash of
-    ``(seed, job key, attempt)`` — deterministic per campaign, decorrelated
-    across jobs, so retry storms never re-synchronize.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    backoff: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-    #: Whether a job that exceeded the wall-clock timeout is retried (its
-    #: next attempt may hit a healthier worker) or quarantined immediately.
-    retry_timeouts: bool = True
-    #: Extra exception types this policy treats as transient.
-    transient_types: tuple = ()
-
-    def classify(self, exc: BaseException) -> str:
-        return classify_error(exc, self.transient_types)
-
-    def should_retry(self, classification: str, attempts: int) -> bool:
-        """Whether a job with ``attempts`` runs so far deserves another."""
-        if attempts >= self.max_attempts:
-            return False
-        if classification == "transient":
-            return True
-        return classification == "timeout" and self.retry_timeouts
-
-    def delay_for(self, key: str, attempts: int) -> float:
-        """Seconds to sleep before re-running ``key`` after ``attempts`` runs."""
-        base = min(self.max_delay,
-                   self.base_delay * self.backoff ** max(0, attempts - 1))
-        if base <= 0 or self.jitter <= 0:
-            return max(0.0, base)
-        digest = hashlib.sha256(
-            f"{self.seed}\x1e{key}\x1e{attempts}".encode()).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2 ** 64
-        return base * (1.0 - self.jitter * fraction)
+    """Raised by the fault-injection harness for a job that fails."""
 
 
 @dataclass
@@ -130,12 +55,10 @@ class JobFailure:
     #: Human-readable job identity, e.g. ``"fibonacci/-O3"`` or ``"shard-7"``.
     job: str
     #: Where the job died: ``compute`` (raised in the worker), ``timeout``
-    #: (exceeded the wall-clock budget), ``pool-kill`` (killed its worker
-    #: process and was bisected out as the poison job).
+    #: (exceeded the wall-clock budget on every attempt), ``pool-kill``
+    #: (killed its worker process and was bisected out as the poison job).
     stage: str
     attempts: int
-    #: ``transient`` / ``permanent`` / ``timeout`` / ``crash``.
-    classification: str
     error_type: str = ""
     message: str = ""
     traceback: str = ""
@@ -147,7 +70,6 @@ class JobFailure:
     def as_dict(self) -> dict:
         return {"job": self.job, "stage": self.stage,
                 "attempts": self.attempts,
-                "classification": self.classification,
                 "error_type": self.error_type, "message": self.message,
                 "traceback": self.traceback}
 
@@ -169,18 +91,14 @@ class PoisonJobError(RuntimeError):
         self.failure = failure
 
 
-def failure_from_exception(job: str, exc: BaseException, attempts: int,
-                           stage: str = "compute",
-                           classification: Optional[str] = None) -> JobFailure:
-    """Wrap a raised exception into a :class:`JobFailure` record."""
-    if classification is None:
-        classification = classify_error(exc)
+def failure_from_exception(job: str, exc: BaseException,
+                           attempts: int) -> JobFailure:
+    """Wrap a raised exception into a ``compute`` :class:`JobFailure`."""
     # Worker exceptions surfaced through concurrent.futures carry the remote
     # traceback as a chained _RemoteTraceback; format_exception renders both.
     tb = "".join(traceback_module.format_exception(
         type(exc), exc, exc.__traceback__))
-    return JobFailure(job=job, stage=stage, attempts=attempts,
-                      classification=classification,
+    return JobFailure(job=job, stage="compute", attempts=attempts,
                       error_type=type(exc).__name__, message=str(exc),
                       traceback=tb, exception=exc)
 
@@ -191,9 +109,6 @@ def failure_from_exception(job: str, exc: BaseException, attempts: int,
 #: initializer, so injection points fire on both sides of the pool boundary.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Recognized spec actions.
-FAULT_ACTIONS = ("transient", "permanent", "hang", "kill", "corrupt")
-
 
 @dataclass
 class FaultSpec:
@@ -203,14 +118,16 @@ class FaultSpec:
 
     point: str
     match: str = "*"
-    action: str = "transient"
+    action: str = "permanent"
     times: int = 1
     #: Seconds for ``hang`` (default 3600) and pre-``kill`` delay.
     arg: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {"point": self.point, "match": self.match,
-                "action": self.action, "times": self.times, "arg": self.arg}
+    def __post_init__(self):
+        # An unknown action would inject nothing: a chaos test would pass
+        # without its fault ever firing.
+        if self.action not in ("permanent", "hang", "kill", "corrupt"):
+            raise ValueError(f"unknown fault action {self.action!r}")
 
 
 class FaultPlan:
@@ -221,7 +138,7 @@ class FaultPlan:
     Tests use it as a context manager::
 
         with FaultPlan([FaultSpec("measure-job", match="fib*",
-                                  action="transient", times=2)],
+                                  action="permanent", times=2)],
                        state_dir=tmp_path):
             ...
 
@@ -239,7 +156,7 @@ class FaultPlan:
         (self.state_dir / "fired").mkdir(parents=True, exist_ok=True)
         self.plan_path.write_text(json.dumps(
             {"state_dir": str(self.state_dir),
-             "specs": [spec.as_dict() for spec in self.specs]}))
+             "specs": [asdict(spec) for spec in self.specs]}))
         os.environ[FAULT_PLAN_ENV] = str(self.plan_path)
         return self
 
@@ -288,8 +205,6 @@ class FaultPlan:
     @staticmethod
     def _act(spec: FaultSpec, point: str, key: str, path) -> None:
         where = f"{point}/{key}"
-        if spec.action == "transient":
-            raise InjectedTransientError(f"injected transient fault at {where}")
         if spec.action == "permanent":
             raise InjectedPermanentError(f"injected permanent fault at {where}")
         if spec.action == "hang":
@@ -335,9 +250,7 @@ def worker_fault_init(plan_path: Optional[str]) -> None:
 
 
 __all__ = [
-    "FAULT_ACTIONS", "FAULT_PLAN_ENV", "FaultPlan", "FaultSpec",
-    "InjectedPermanentError", "InjectedTransientError", "JobFailure",
-    "PoisonJobError", "RetryPolicy", "TRANSIENT_ERROR_TYPES",
-    "TransientError", "classify_error", "failure_from_exception",
-    "fault_point", "worker_fault_init",
+    "FAULT_PLAN_ENV", "FaultPlan", "FaultSpec",
+    "InjectedPermanentError", "JobFailure", "PoisonJobError",
+    "failure_from_exception", "fault_point", "worker_fault_init",
 ]

@@ -1,8 +1,8 @@
 """Regenerators for every figure in the paper's evaluation.
 
 Each function returns plain Python data (rows / series) shaped like the
-corresponding figure, so the pytest-benchmark targets and EXPERIMENTS.md can
-print them.  All regenerators take ``benchmarks``/``passes`` subsets and reuse
+corresponding figure, so the ``repro figure`` command and the
+pytest-benchmark targets under ``benchmarks/`` can print them.  All regenerators take ``benchmarks``/``passes`` subsets and reuse
 one :class:`BenchmarkRunner`, so small slices run quickly and the full matrix
 is just "pass all names".
 

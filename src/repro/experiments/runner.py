@@ -269,9 +269,8 @@ class BenchmarkRunner:
                 self._by_program[by_program] = measurement
             self._by_module[by_module] = measurement
         measurement = self._relabel(measurement, benchmark_name, profile)
-        output = measurement.trace.output
-        if benchmark.expected_output is not None and \
-                output != benchmark.expected_output:
+        output = tuple(measurement.trace.output)
+        if output != benchmark.expected_output:
             raise AssertionError(
                 f"{benchmark_name} under {profile.name}: output {output} "
                 f"does not match expected {benchmark.expected_output}")

@@ -5,7 +5,7 @@ A campaign is ``--seeds N`` programs: the parent process *generates* them all
 sources (different seeds occasionally collapse to the same tiny program),
 shards the survivors into batches of :data:`DEFAULT_SHARD_SIZE`, and submits
 the shards through :meth:`ExperimentEngine.map_jobs` — the same process pool,
-threshold, retry/timeout/quarantine and serial-fallback machinery the
+threshold, timeout/quarantine and serial-fallback machinery the
 measurement batches use.
 
 Campaigns are **resumable**: given a journal, every completed shard is

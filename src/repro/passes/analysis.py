@@ -1,8 +1,8 @@
 """The per-function analysis manager of the pass pipeline.
 
-The seed pass manager rebuilt :class:`~repro.ir.dominators.DominatorTree`,
+Rebuilding :class:`~repro.ir.dominators.DominatorTree`,
 :class:`~repro.ir.loops.LoopInfo` and the other CFG-derived analyses from
-scratch inside every pass, on every ``run_on_function`` call — the same
+scratch inside every pass, on every ``run_on_function`` call, is the
 compile-time problem LLVM's AnalysisManager solves.  This module provides the
 equivalent: passes *request* analyses from an :class:`AnalysisManager`, which
 computes them lazily, caches them per function, and drops them when a pass
@@ -111,9 +111,8 @@ class AnalysisManager:
     enabled:
         ``False`` turns the manager into a pure compute service: every request
         runs the analysis fresh and nothing is stored.  This is the
-        ``PassManager(analysis_cache=False)`` escape hatch, reproducing the
-        seed pass manager's recompute-everything behaviour for differential
-        testing.
+        ``PassManager(analysis_cache=False)`` fresh pipeline, the oracle the
+        cached pipeline is differentially tested against.
     verify:
         Debug mode: recompute each analysis on every cache hit and raise
         :class:`StaleAnalysisError` if the cached result no longer matches.

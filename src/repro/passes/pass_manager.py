@@ -235,9 +235,10 @@ class PassManager:
     analysis_cache:
         ``True`` (default) shares one caching :class:`AnalysisManager` across
         the pipeline, with preserves-driven invalidation between passes.
-        ``False`` is the escape hatch: every analysis request — including the
-        IR-level CFG metadata — is recomputed from scratch, reproducing the
-        seed pass manager for differential testing and benchmarking.
+        ``False`` is the fresh pipeline: every analysis request — including
+        the IR-level CFG metadata — is recomputed from scratch, so it is the
+        oracle for both cache tiers in differential testing (and the
+        baseline of ``benchmarks/bench_passes.py``).
     verify_analyses:
         Debug mode: cross-check every cached analysis against a fresh
         recomputation on each hit and after each pass.

@@ -1,8 +1,11 @@
 """Tests for the benchmark suite, the experiment runner, the autotuner and the
 table/figure regenerators."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import benchmarks
 from repro.benchmarks import (
     all_benchmark_names, benchmarks_in_suite, get_benchmark, suites,
 )
@@ -13,6 +16,7 @@ from repro.experiments import (
 from repro.experiments import figures, tables
 from repro.frontend import compile_source
 from repro.ir import verify_module
+from repro.ir.interpreter import run_module
 from repro.passes import OPTIMIZATION_LEVELS, pipeline_for_level
 
 FAST_BENCHMARKS = ["fibonacci", "loop-sum", "polybench-trisolv", "npb-is", "rsp"]
@@ -43,6 +47,13 @@ class TestBenchmarkSuite:
         module = compile_source(benchmark.source, name)
         verify_module(module)
         assert module.get_function("main") is not None
+
+    @pytest.mark.parametrize("name", all_benchmark_names())
+    def test_pinned_checksum_is_the_interpreters_output(self, name):
+        benchmark = get_benchmark(name)
+        result = run_module(compile_source(benchmark.source, name), "main",
+                            list(benchmark.args) if benchmark.args else None)
+        assert tuple(result.output) == benchmark.expected_output
 
     @pytest.mark.parametrize("name", FAST_BENCHMARKS)
     def test_fast_benchmarks_execute(self, runner, name):
@@ -102,6 +113,18 @@ class TestRunner:
         optimized = runner.measure("fibonacci", profile_by_name("-O2"))
         assert optimized.trace.output == base.trace.output
         assert optimized.instructions < base.instructions
+
+    def test_pinned_checksum_is_checked(self, monkeypatch):
+        fibonacci = get_benchmark("fibonacci")
+        monkeypatch.setitem(benchmarks._REGISTRY, "fibonacci",
+                            replace(fibonacci, expected_output=(6024,)))
+        measurement = BenchmarkRunner().measure("fibonacci",
+                                                profile_by_name("-O1"))
+        assert measurement.trace.output == [6024]
+        monkeypatch.setitem(benchmarks._REGISTRY, "fibonacci",
+                            replace(fibonacci, expected_output=(6025,)))
+        with pytest.raises(AssertionError, match="fibonacci under -O1"):
+            BenchmarkRunner().measure("fibonacci", profile_by_name("-O1"))
 
     def test_measurement_contains_all_metrics(self, runner):
         m = runner.measure("loop-sum", baseline_profile())

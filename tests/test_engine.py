@@ -31,7 +31,6 @@ def _pairs():
 
 def _engine(tmp_path, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("parallel_threshold", 1)
     return ExperimentEngine(cache_dir=tmp_path / "cache", **kwargs)
 
 
@@ -296,6 +295,42 @@ class TestCli:
         assert cli.main([*argv, "--reference"]) == 0
         assert len(measured) == 3
         assert facts(capsys.readouterr().out) == measured
+
+    def test_encode_reads_the_code_size_report(self, monkeypatch, capsys):
+        # The compile already encoded both variants into the program's code
+        # size report; `repro encode` reads it and encodes again only what
+        # --hex prints.
+        from repro.backend import encoding
+
+        names = ["fibonacci", "loop-sum"]
+        programs = {name: BenchmarkRunner().compile(name,
+                                                    profile_by_name("-O3"))
+                    for name in names}
+        monkeypatch.setattr(BenchmarkRunner, "compile",
+                            lambda self, name, profile: programs[name])
+        calls = []
+        real_encode = encoding.encode_program
+
+        def counting_encode(program, rvc=False, **kwargs):
+            calls.append(rvc)
+            return real_encode(program, rvc=rvc, **kwargs)
+
+        monkeypatch.setattr(encoding, "encode_program", counting_encode)
+        argv = ["--no-disk-cache", "encode", *names]
+        assert cli.main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reports = [encoding.code_size_report(programs[name]) for name in names]
+        assert payload == {"profile": "-O3", "benchmarks": [
+            {"benchmark": name,
+             "code_bytes": {"rv32": report["rv32"], "rvc": report["rvc"]},
+             "functions": report["functions"]}
+            for name, report in zip(names, reports)]}
+        assert cli.main(argv) == 0
+        assert "smaller with RVC" in capsys.readouterr().out
+        assert calls == []
+        assert cli.main([*argv, "--hex", "--rvc"]) == 0
+        assert f"{reports[0]['rvc']} bytes" in capsys.readouterr().out
+        assert calls == [True, True]
 
     def test_unknown_inputs_fail_cleanly(self, tmp_path, capsys):
         assert self._run(tmp_path, "figure", "99") == 2

@@ -1,8 +1,8 @@
 """Chaos suite: the engine's fault-tolerance machinery under injected faults.
 
 Every degradation path the engine claims to survive is exercised here through
-the deterministic :class:`FaultPlan` harness: transient errors retried,
-permanent errors quarantined, hung jobs timed out without stalling their
+the deterministic :class:`FaultPlan` harness: a job that raises recorded once
+and never re-run, hung jobs timed out and retried without stalling their
 batch, worker-killing poison jobs bisected out while innocent jobs keep their
 results, damaged cache entries degrading to recomputation, and interrupted
 campaigns resuming from their journals to the same totals as uninterrupted
@@ -28,9 +28,8 @@ from repro.experiments import BenchmarkRunner, baseline_profile
 from repro.experiments.cache import CACHE_SCHEMA_VERSION, MeasurementCache
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.faults import (
-    FAULT_PLAN_ENV, FaultPlan, FaultSpec, InjectedPermanentError,
-    InjectedTransientError, JobFailure, PoisonJobError, RetryPolicy,
-    classify_error, fault_point,
+    FAULT_PLAN_ENV, FaultPlan, FaultSpec, InjectedPermanentError, JobFailure,
+    PoisonJobError, fault_point,
 )
 from repro.experiments.journal import (
     CampaignJournal, JournalMismatch, resolve_journal_path,
@@ -48,13 +47,21 @@ def _chaos_job(job):
     return value * 2
 
 
+def _refused_job(job):
+    """Record one execution marker; job ``a`` raises a connection error."""
+    key, value, workdir = job
+    tempfile.mkstemp(prefix=f"{key}.", dir=workdir)
+    if key == "a":
+        raise ConnectionRefusedError("refused by a deterministic job")
+    return value * 2
+
+
 def _executions(workdir, key) -> int:
     return len(list(Path(workdir).glob(f"{key}.*")))
 
 
 def _engine(tmp_path, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("parallel_threshold", 1)
     kwargs.setdefault("use_disk_cache", False)
     return ExperimentEngine(**kwargs)
 
@@ -66,54 +73,12 @@ def _no_leaked_plan():
     os.environ.pop(FAULT_PLAN_ENV, None)
 
 
-class TestRetryPolicy:
-    def test_classification(self):
-        assert classify_error(InjectedTransientError("x")) == "transient"
-        assert classify_error(ConnectionError()) == "transient"
-        assert classify_error(TimeoutError()) == "transient"
-        assert classify_error(ValueError("deterministic")) == "permanent"
-        assert classify_error(ValueError(), (ValueError,)) == "transient"
-
-    def test_should_retry_bounds(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.should_retry("transient", 1)
-        assert policy.should_retry("transient", 2)
-        assert not policy.should_retry("transient", 3)
-        assert not policy.should_retry("permanent", 1)
-        assert policy.should_retry("timeout", 1)
-        assert not RetryPolicy(retry_timeouts=False).should_retry("timeout", 1)
-
-    def test_deterministic_jittered_backoff(self):
-        policy = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=1.0,
-                             jitter=0.5, seed=7)
-        delays = [policy.delay_for("job-a", attempt)
-                  for attempt in range(1, 8)]
-        # Deterministic: an identical policy computes identical delays.
-        assert delays == [RetryPolicy(base_delay=0.1, backoff=2.0,
-                                      max_delay=1.0, jitter=0.5,
-                                      seed=7).delay_for("job-a", attempt)
-                          for attempt in range(1, 8)]
-        # Bounded by the cap, never negative, jitter decorrelates keys.
-        assert all(0 <= delay <= 1.0 for delay in delays)
-        assert policy.delay_for("job-a", 1) != policy.delay_for("job-b", 1)
-        # A different seed reshuffles the jitter.
-        other = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=1.0,
-                            jitter=0.5, seed=8)
-        assert delays != [other.delay_for("job-a", a) for a in range(1, 8)]
-
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=10.0,
-                             jitter=0.0)
-        assert policy.delay_for("k", 1) == pytest.approx(0.1)
-        assert policy.delay_for("k", 3) == pytest.approx(0.4)
-
-
 class TestFaultPlan:
     def test_fires_exactly_times_then_disarms(self, tmp_path):
-        with FaultPlan([FaultSpec("p", action="transient", times=2)],
+        with FaultPlan([FaultSpec("p", action="permanent", times=2)],
                        tmp_path):
             for _ in range(2):
-                with pytest.raises(InjectedTransientError):
+                with pytest.raises(InjectedPermanentError):
                     fault_point("p", "any")
             fault_point("p", "any")  # third call: spec exhausted, no raise
 
@@ -125,6 +90,11 @@ class TestFaultPlan:
             with pytest.raises(InjectedPermanentError):
                 fault_point("p", "shard-12")
 
+    def test_unknown_action_is_rejected(self):
+        # The removed "transient" action must not linger as a silent no-op.
+        with pytest.raises(ValueError, match="transient"):
+            FaultSpec("p", action="transient")
+
     def test_noop_without_plan(self):
         os.environ.pop(FAULT_PLAN_ENV, None)
         fault_point("p", "k")  # must not raise
@@ -132,29 +102,27 @@ class TestFaultPlan:
 
 class TestRetries:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_transient_fault_retried_to_success(self, tmp_path, workers):
-        jobs = [("a", 1, str(tmp_path / "runs")), ("b", 2, str(tmp_path / "runs"))]
+    def test_raising_job_runs_once(self, tmp_path, workers):
+        # Jobs are deterministic: an error that reads as transient (a
+        # refused connection) would recur, so the job is not re-run.
         (tmp_path / "runs").mkdir()
-        engine = _engine(tmp_path, workers=workers,
-                         retry_policy=RetryPolicy(max_attempts=3,
-                                                  base_delay=0.01))
-        with FaultPlan([FaultSpec("chaos-job", match="a",
-                                  action="transient", times=2)],
-                       tmp_path / "plan"):
-            results = engine.map_jobs(_chaos_job, jobs)
-        assert results == [2, 4]
-        assert engine.stats.retries == 2
-        assert engine.failures == []
-        assert _executions(tmp_path / "runs", "a") == 3
-        assert _executions(tmp_path / "runs", "b") == 1
+        jobs = [("a", 1, str(tmp_path / "runs")), ("b", 2, str(tmp_path / "runs"))]
+        engine = _engine(tmp_path, workers=workers)
+        failure, ok = engine.map_jobs(_refused_job, jobs, on_error="report",
+                                      labels=["a", "b"])
+        assert isinstance(failure, JobFailure)
+        assert failure.stage == "compute"
+        assert failure.error_type == "ConnectionRefusedError"
+        assert failure.attempts == 1
+        assert ok == 4
+        assert engine.stats.retries == 0
+        assert _executions(tmp_path / "runs", "a") == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_permanent_fault_not_retried(self, tmp_path, workers):
         (tmp_path / "runs").mkdir()
         jobs = [("a", 1, str(tmp_path / "runs")), ("b", 2, str(tmp_path / "runs"))]
-        engine = _engine(tmp_path, workers=workers,
-                         retry_policy=RetryPolicy(max_attempts=3,
-                                                  base_delay=0.01))
+        engine = _engine(tmp_path, workers=workers)
         with FaultPlan([FaultSpec("chaos-job", match="a",
                                   action="permanent", times=5)],
                        tmp_path / "plan"):
@@ -162,7 +130,7 @@ class TestRetries:
                                       labels=["a", "b"])
         failure, ok = results
         assert isinstance(failure, JobFailure)
-        assert failure.classification == "permanent"
+        assert failure.stage == "compute"
         assert failure.attempts == 1
         assert failure.error_type == "InjectedPermanentError"
         assert "injected permanent fault" in failure.message
@@ -171,23 +139,8 @@ class TestRetries:
         assert engine.stats.errors == 1
         assert _executions(tmp_path / "runs", "a") == 1
 
-    def test_transient_exhaustion_reports_failure(self, tmp_path):
-        (tmp_path / "runs").mkdir()
-        engine = _engine(tmp_path, workers=1,
-                         retry_policy=RetryPolicy(max_attempts=2,
-                                                  base_delay=0.01))
-        with FaultPlan([FaultSpec("chaos-job", action="transient",
-                                  times=10)], tmp_path / "plan"):
-            results = engine.map_jobs(
-                _chaos_job, [("a", 1, str(tmp_path / "runs"))],
-                on_error="report", labels=["a"])
-        assert results[0].classification == "transient"
-        assert results[0].attempts == 2
-        assert engine.stats.retries == 1
-
     def test_on_error_raise_propagates_original(self, tmp_path):
-        engine = _engine(tmp_path, workers=1,
-                         retry_policy=RetryPolicy(max_attempts=1))
+        engine = _engine(tmp_path, workers=1)
         with FaultPlan([FaultSpec("chaos-job", action="permanent")],
                        tmp_path / "plan"):
             with pytest.raises(InjectedPermanentError):
@@ -199,8 +152,7 @@ class TestTimeouts:
         (tmp_path / "runs").mkdir()
         jobs = [(key, i, str(tmp_path / "runs"))
                 for i, key in enumerate(["hang", "b", "c", "d"])]
-        engine = _engine(tmp_path, job_timeout=1.0,
-                         retry_policy=RetryPolicy(max_attempts=1))
+        engine = _engine(tmp_path, job_timeout=1.0, timeout_attempts=1)
         begin = time.monotonic()
         with FaultPlan([FaultSpec("chaos-job", match="hang", action="hang",
                                   arg=60.0)], tmp_path / "plan"):
@@ -211,7 +163,6 @@ class TestTimeouts:
         failure = results[0]
         assert isinstance(failure, JobFailure)
         assert failure.stage == "timeout"
-        assert failure.classification == "timeout"
         assert results[1:] == [2, 4, 6]
         assert engine.stats.timeouts == 1
         # Innocent in-flight jobs resubmitted after the watchdog kill still
@@ -221,16 +172,31 @@ class TestTimeouts:
 
     def test_hang_once_then_retry_succeeds(self, tmp_path):
         jobs = [("hang", 5, ""), ("b", 6, "")]
-        engine = _engine(tmp_path, job_timeout=1.0,
-                         retry_policy=RetryPolicy(max_attempts=2,
-                                                  base_delay=0.01))
+        engine = _engine(tmp_path, job_timeout=1.0, timeout_attempts=2)
         with FaultPlan([FaultSpec("chaos-job", match="hang", action="hang",
                                   arg=60.0, times=1)], tmp_path / "plan"):
             results = engine.map_jobs(_chaos_job, jobs)
         assert results == [10, 12]
         assert engine.stats.timeouts == 1
-        assert engine.stats.retries >= 1
+        assert engine.stats.retries == 1
         assert engine.failures == []
+
+    def test_hang_every_attempt_quarantined_after_last(self, tmp_path):
+        (tmp_path / "runs").mkdir()
+        jobs = [("hang", 5, str(tmp_path / "runs")),
+                ("b", 6, str(tmp_path / "runs"))]
+        engine = _engine(tmp_path, job_timeout=1.0, timeout_attempts=2)
+        with FaultPlan([FaultSpec("chaos-job", match="hang", action="hang",
+                                  arg=60.0, times=10)], tmp_path / "plan"):
+            failure, ok = engine.map_jobs(_chaos_job, jobs, on_error="report",
+                                          labels=["hang", "b"])
+        assert isinstance(failure, JobFailure)
+        assert failure.stage == "timeout"
+        assert failure.attempts == 2
+        assert ok == 12
+        assert engine.stats.timeouts == 2
+        assert engine.stats.retries == 1
+        assert _executions(tmp_path / "runs", "hang") == 2
 
     def test_serial_execution_ignores_timeout(self, tmp_path):
         # Serial jobs cannot be preempted; the budget only governs pools.
@@ -255,7 +221,6 @@ class TestPoisonJobs:
         failure = results[5]
         assert isinstance(failure, JobFailure)
         assert failure.stage == "pool-kill"
-        assert failure.classification == "crash"
         assert engine.stats.quarantined == 1
         assert engine.stats.salvaged >= 1
         # The killer waits 1s; the innocents complete (and are salvaged)
@@ -324,21 +289,8 @@ class TestPoisonJobs:
 
 
 class TestMeasurementFaults:
-    def test_transient_measure_job_retried(self, tmp_path):
-        engine = _engine(tmp_path, workers=1,
-                         retry_policy=RetryPolicy(max_attempts=2,
-                                                  base_delay=0.01))
-        with FaultPlan([FaultSpec("measure-job", match="fibonacci/*",
-                                  action="transient", times=1)],
-                       tmp_path / "plan"):
-            results = engine.measure_pairs([("fibonacci", baseline_profile())])
-        assert results[0].benchmark == "fibonacci"
-        assert engine.stats.retries == 1
-        assert engine.stats.errors == 0
-
     def test_measure_failure_report_mode(self, tmp_path):
-        engine = _engine(tmp_path, workers=1,
-                         retry_policy=RetryPolicy(max_attempts=1))
+        engine = _engine(tmp_path, workers=1)
         with FaultPlan([FaultSpec("measure-job", action="permanent")],
                        tmp_path / "plan"):
             results = engine.measure_pairs([("fibonacci", baseline_profile())],
@@ -353,7 +305,7 @@ class TestMeasurementFaults:
                                        on_error="report")
         assert isinstance(results[0], JobFailure)
         assert results[0].job == "fibonacci/baseline"
-        assert results[0].classification == "permanent"
+        assert results[0].stage == "compute"
 
     def test_corrupted_cache_write_recomputes_next_run(self, tmp_path):
         cache_dir = tmp_path / "cache"
