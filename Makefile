@@ -29,14 +29,13 @@
 #                        retries, poison-job quarantine, cache damage,
 #                        campaign resume (CI runs it inside make test)
 #   make docs-check      markdown link check + GUIDE.md quickstart smoke run
-#   make bench           full pytest-benchmark harness (slow)
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-engine chaos figures-smoke bench-engine bench-emulator \
 	bench-emulator-translated bench-passes bench-backend bench-encoding \
-	fuzz-smoke docs-check coverage bench clean-cache
+	fuzz-smoke docs-check coverage clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -139,9 +138,6 @@ coverage:
 		echo "pytest-cov is not installed; skipping coverage" \
 			"(pip install pytest-cov to enable)"; \
 	fi
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q
 
 clean-cache:
 	$(PYTHON) -c "from repro.experiments.cache import MeasurementCache; print(MeasurementCache().clear(), 'entries removed')"

@@ -21,8 +21,7 @@ run fails if ``analysis_cache.computed`` exceeds the committed
 ``BENCH_passes.json``, which is read before the new report is written.
 ``make bench-passes`` writes ``BENCH_passes.json``.
 
-Runs standalone (``python benchmarks/bench_passes.py [--json PATH]``) and as
-a pytest target under the bench harness.
+Run with ``python benchmarks/bench_passes.py [--json PATH]``.
 """
 
 from __future__ import annotations
@@ -144,12 +143,6 @@ def run_report(benchmarks=None, repeats: int = 3, echo=print) -> dict:
          f"{totals['cached']:.3f}s | speedup "
          f"{aggregate['speedup_vs_fresh']:.2f}x vs fresh")
     return {"aggregate": aggregate, "per_benchmark": per_benchmark}
-
-
-def test_pass_pipeline_compile_time():
-    """Bench-harness entry: the cached pipeline computes no extra analyses."""
-    committed = committed_computed()
-    assert regression(run_report(repeats=1), committed) is None
 
 
 def main(argv=None) -> int:

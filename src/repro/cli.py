@@ -184,27 +184,28 @@ def _table_registry() -> dict:
     }
 
 
-def _call_regenerator(fn, runner, benchmarks, passes, **extra):
-    """Invoke a figure/table regenerator with only the kwargs it accepts.
+def _call_regenerator(fn, artifact: str, runner, **flags):
+    """Invoke a figure/table regenerator with the flags given for it.
 
-    The regenerators have slightly different signatures (figure 9 takes
-    ``profiles``, figure 6 takes ``iterations``/``seed``, table 3 takes
-    nothing); this adapter keeps one CLI for all of them.
+    The regenerators have different signatures (figure 9 takes ``--passes``
+    as ``profiles``, figure 6 takes ``iterations``/``seed``, table 3 takes
+    nothing); a flag the artifact does not take is a usage error, so no
+    output is printed as if it applied.
     """
     params = inspect.signature(fn).parameters
-    kwargs = {}
-    if "runner" in params:
-        kwargs["runner"] = runner
-    if benchmarks and "benchmarks" in params:
-        kwargs["benchmarks"] = benchmarks
-    if passes:
-        if "passes" in params:
-            kwargs["passes"] = passes
-        elif "profiles" in params:
-            kwargs["profiles"] = passes
-    for name, value in extra.items():
-        if name in params and value is not None:
+    kwargs = {"runner": runner} if "runner" in params else {}
+    unknown = []
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        name = "profiles" if flag == "passes" and "profiles" in params \
+            else flag
+        if name in params:
             kwargs[name] = value
+        else:
+            unknown.append(f"--{flag}")
+    if unknown:
+        raise UsageError(f"{artifact} does not take {', '.join(unknown)}")
     return fn(**kwargs)
 
 
@@ -295,8 +296,9 @@ def _cmd_regenerate(args) -> int:
         return 2
     engine = _make_engine(args)
     benchmarks = _resolve_benchmarks(args.benchmarks) if args.benchmarks else None
-    result = _call_regenerator(registry[args.number], engine, benchmarks,
-                               args.passes,
+    result = _call_regenerator(registry[args.number],
+                               f"{args.command} {args.number}", engine,
+                               benchmarks=benchmarks, passes=args.passes,
                                iterations=getattr(args, "iterations", None),
                                seed=getattr(args, "seed", None))
     _emit(result, as_json=args.json)

@@ -1,8 +1,9 @@
 """Regenerators for every figure in the paper's evaluation.
 
 Each function returns plain Python data (rows / series) shaped like the
-corresponding figure, so the ``repro figure`` command and the
-pytest-benchmark targets under ``benchmarks/`` can print them.  All regenerators take ``benchmarks``/``passes`` subsets and reuse
+corresponding figure, so the ``repro figure`` command can print them and
+``tests/test_benchmarks_and_experiments.py`` can check the paper's claim on
+each.  All regenerators take ``benchmarks``/``passes`` subsets and reuse
 one :class:`BenchmarkRunner`, so small slices run quickly and the full matrix
 is just "pass all names".
 

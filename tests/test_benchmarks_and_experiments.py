@@ -21,6 +21,16 @@ from repro.passes import OPTIMIZATION_LEVELS, pipeline_for_level
 
 FAST_BENCHMARKS = ["fibonacci", "loop-sum", "polybench-trisolv", "npb-is", "rsp"]
 FAST_PASSES = ["inline", "licm", "mem2reg", "instcombine", "loop-extract"]
+#: The slices the paper's claims are checked on (TestRegenerators).
+BENCH_BENCHMARKS = [
+    "fibonacci", "loop-sum", "tailcall",
+    "polybench-gemm", "polybench-trisolv", "npb-is", "npb-lu", "sha256",
+]
+BENCH_PASSES = [
+    "inline", "always-inline", "gvn", "instcombine", "simplifycfg",
+    "mem2reg", "sroa", "licm", "loop-extract", "loop-rotate", "reg2mem",
+    "jump-threading", "tailcall",
+]
 
 
 @pytest.fixture(scope="module")
@@ -159,17 +169,21 @@ class TestRegenerators:
         assert set(rows) == {"risc0", "sp1"}
         for counts in rows.values():
             assert all(v >= 0 for v in counts.values())
-        total = sum(sum(c.values()) for c in rows.values())
-        assert total > 0
+        assert rows["risc0"]["execution_gain"] + \
+            rows["risc0"]["execution_loss"] > 0
 
     def test_table2_correlations_are_strong_and_positive(self, runner):
         result = tables.table2_correlations(runner, FAST_BENCHMARKS, FAST_PASSES)
         key = ("risc0", "execution_time", "instructions")
         # Small profile slices keep the correlation positive but noisier than the
-        # paper's full matrix; the full sweep (examples/full_study.py) is stronger.
+        # paper's full matrix (`repro table 2 --benchmarks all`).
         assert result[key]["kendall"] > 0.15
         assert result[key]["pearson"] > 0.5
         assert result[("sp1", "execution_time", "paging_cycles")]["kendall"] is None
+        # The paper's claim: instruction count tracks execution time.
+        claim = tables.table2_correlations(runner, BENCH_BENCHMARKS[:5],
+                                           BENCH_PASSES[:8])
+        assert claim[key]["kendall"] > 0.3
 
     def test_table3_manual_unrolling_helps_both_targets(self):
         rows = tables.table3_manual_unrolling()
@@ -184,11 +198,44 @@ class TestRegenerators:
         assert entry["min"] <= entry["median"] <= entry["max"]
         assert stats[("sp1", "execution_time")]["mean"] > 0
 
+    def test_figure4_counts_each_benchmark_once_per_pass(self, runner):
+        result = figures.figure4_effect_categories(runner, BENCH_BENCHMARKS,
+                                                   BENCH_PASSES)
+        counts = result[("risc0", "execution_time")]["inline"]
+        assert sum(counts.values()) <= len(BENCH_BENCHMARKS)
+
     def test_figure5_levels_improve_over_baseline(self, runner):
         result = figures.figure5_optimization_levels(runner, FAST_BENCHMARKS)
         assert result["-O3"][("risc0", "execution_time")] > 0
         assert result["-O3"][("risc0", "execution_time")] >= \
             result["-O0"][("risc0", "execution_time")]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "reproduction gap: -O3's mean RISC Zero execution gain is 4.85% on "
+        "this slice and 6.33% over all 58 benchmarks"))
+    def test_figure5_o3_gain_exceeds_8_percent(self, runner):
+        result = figures.figure5_optimization_levels(runner, BENCH_BENCHMARKS)
+        assert result["-O3"][("risc0", "execution_time")] > 8
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "reproduction gap: after 6 evaluations the tuned recipe runs at "
+        "0.94x and 0.97x of -O3's speed on RISC Zero and 0.93x and 0.93x on "
+        "SP1 (npb-is, sha256); the search is seeded with only the first 20 "
+        "of -O3's 29 passes"))
+    def test_figure6_autotuning_matches_or_beats_o3(self, runner):
+        result = figures.figure6_autotuning(["npb-is", "sha256"], iterations=6,
+                                            runner=runner)
+        assert all(row["speedup_over_o3"] >= 1 for row in result.values())
+
+    def test_figure7_reports_levels_beside_passes(self, runner):
+        result = figures.figure7_zkvm_vs_x86(runner, BENCH_BENCHMARKS[:5],
+                                             BENCH_PASSES[:8])
+        assert "-O3" in result
+
+    def test_figure8_counts_every_pass(self, runner):
+        result = figures.figure8_divergence(runner, BENCH_BENCHMARKS[:6],
+                                            BENCH_PASSES[:8])
+        assert set(result) == set(BENCH_PASSES[:8])
 
     def test_figure3_ranks_inline_positive_licm_not(self, runner):
         # Use call-heavy benchmarks, where inlining's benefit is unambiguous.
@@ -206,20 +253,26 @@ class TestRegenerators:
         assert {"exec_gain", "prove_gain", "instructions_change"} <= set(row)
 
     def test_figure14_zkvm_aware_vs_vanilla(self, runner):
-        result = figures.figure14_zkvm_aware(runner, ["fibonacci", "loop-sum"])
-        assert set(result) == {"fibonacci", "loop-sum"}
+        result = figures.figure14_zkvm_aware(runner, BENCH_BENCHMARKS)
+        assert set(result) == set(BENCH_BENCHMARKS)
         # The zkVM-aware build must not increase dynamic instruction count.
         for row in result.values():
             assert row["instruction_reduction"] >= -1.0
+        improved = sum(row[("risc0", "execution_time")] > 0
+                       for row in result.values())
+        assert improved >= len(result) // 3
 
     def test_figure15_native_much_faster_than_proving(self, runner):
-        result = figures.figure15_native_vs_zkvm(runner, ["npb-is"])
-        row = result["npb-is"]
-        assert row["risc0_proving_s"] > row["native_execution_s"] * 100
+        result = figures.figure15_native_vs_zkvm(
+            runner, ["npb-is", "npb-lu", "npb-ep", "npb-mg"])
+        for row in result.values():
+            assert row["risc0_proving_s"] > row["native_execution_s"] * 100
 
     def test_case_studies(self):
         strength = tables.case_study_strength_reduction()
         assert strength["-O3"]["output"] == strength["-O3-zkvm"]["output"]
+        assert strength["-O3-zkvm"]["instructions"] <= \
+            strength["-O3"]["instructions"]
         abs_case = tables.case_study_branchless_abs()
         assert abs_case["branchy"]["output"] == abs_case["branchless"]["output"]
         fission = tables.case_study_loop_fission()

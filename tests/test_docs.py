@@ -11,6 +11,9 @@ and everything under ``docs/`` stay honest:
 * every ``--flag`` README.md or ``docs/GUIDE.md`` names must exist on the
   ``repro`` parser or one of its subcommands, so a removed flag cannot
   linger in the docs;
+* every ``make`` target named in code in README.md or ``docs/`` must be a
+  Makefile target;
+* every script under ``examples/`` must run to completion;
 * every backtick-quoted dotted ``repro.…`` name must import, so a deleted
   module or class cannot linger in the docs either.
 
@@ -22,7 +25,10 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,6 +134,41 @@ def test_documented_flags_exist(doc):
     text = (REPO_ROOT / doc).read_text(encoding="utf-8")
     unknown = sorted(set(_FLAG.findall(text)) - options)
     assert not unknown, f"{doc} names flags `repro` does not have: {unknown}"
+
+
+#: Inline code or a fenced block, where docs name ``make`` invocations.
+_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+_MAKE_TARGET = re.compile(r"(?<![\w-])make ([a-z][\w-]*)")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_documented_make_targets_exist(doc):
+    makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    targets = set(re.findall(r"^([\w-]+):(?!=)", makefile, re.M))
+    named = {target
+             for code in _CODE.findall(doc.read_text(encoding="utf-8"))
+             for target in _MAKE_TARGET.findall(code)}
+    unknown = sorted(named - targets)
+    assert not unknown, f"{doc.name} names make targets the Makefile lacks: {unknown}"
+
+
+#: The smallest arguments of each example that takes any.
+EXAMPLE_ARGS = {
+    "pass_impact_study.py": ["fibonacci"],
+    "zkvm_aware_compiler.py": ["fibonacci"],
+    "autotune_program.py": ["fibonacci", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "script", sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py")))
+def test_example_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / script),
+         *EXAMPLE_ARGS.get(script, [])],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 #: A backtick-quoted dotted name under the package: a module or a member.

@@ -335,6 +335,15 @@ class TestCli:
     def test_unknown_inputs_fail_cleanly(self, tmp_path, capsys):
         assert self._run(tmp_path, "figure", "99") == 2
         assert self._run(tmp_path, "measure", "no-such-benchmark") == 2
+        # A flag the artifact does not take is refused, not silently dropped.
+        capsys.readouterr()
+        assert self._run(tmp_path, "table", "3",
+                         "--benchmarks", "fibonacci") == 2
+        assert "table 3 does not take --benchmarks" in capsys.readouterr().err
+        assert self._run(tmp_path, "figure", "5", "--benchmarks", "fibonacci",
+                         "--passes", "inline", "--iterations", "3") == 2
+        assert "figure 5 does not take --passes, --iterations" in \
+            capsys.readouterr().err
 
     def test_autotune_shares_the_figures_cache_entries(self, tmp_path,
                                                        capsys):
