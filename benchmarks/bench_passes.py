@@ -1,4 +1,4 @@
-"""Pass-pipeline compile-time report: invalidation-aware analysis caching
+"""Pass-pipeline compile-time report: CFG-version-keyed analysis caching
 vs the ``analysis_cache=False`` escape hatch.
 
 Compiles every seed benchmark under both paper profiles (CPU-tuned ``-O3``
@@ -6,9 +6,9 @@ and the zkVM-aware ``-O3-zkvm``) through two pipelines:
 
 * ``cached``  — the default :class:`~repro.passes.pass_manager.PassManager`:
   per-function analyses cached by the
-  :class:`~repro.passes.analysis.AnalysisManager` with preserves-driven
-  invalidation, CFG-version-validated predecessor/reachability maps, and
-  no-op pass skipping;
+  :class:`~repro.passes.analysis.AnalysisManager` and served while the
+  function's CFG version is unchanged, CFG-version-validated
+  predecessor/reachability maps, and no-op pass skipping;
 * ``fresh``   — the ``analysis_cache=False`` escape hatch: identical code, but
   every analysis and CFG query recomputed per use (the differential-testing
   oracle; byte-identical output to ``cached``).
@@ -81,8 +81,7 @@ def run_report(benchmarks=None, repeats: int = 3, echo=print) -> dict:
 
     per_benchmark: dict[str, dict] = {}
     totals = {mode: 0.0 for mode in MODES}
-    cache_stats = {"hits": 0, "computed": 0, "invalidated": 0, "drifted": 0,
-                   "skipped": 0}
+    cache_stats = {"hits": 0, "computed": 0, "drifted": 0, "skipped": 0}
     for name in names:
         cells = {mode: 0.0 for mode in MODES}
         for profile in profiles:
@@ -136,9 +135,8 @@ def run_report(benchmarks=None, repeats: int = 3, echo=print) -> dict:
     stats = aggregate["analysis_cache"]
     requests = stats["hits"] + stats["computed"]
     echo(f"analysis cache: {stats['hits']}/{requests} hits, "
-         f"{stats['computed']} computed, {stats['invalidated']} invalidated, "
-         f"{stats['drifted']} drifted, {stats['skipped']} no-op pass runs "
-         f"skipped")
+         f"{stats['computed']} computed, {stats['drifted']} drifted, "
+         f"{stats['skipped']} no-op pass runs skipped")
     echo(f"aggregate: fresh {totals['fresh']:.3f}s | cached "
          f"{totals['cached']:.3f}s | speedup "
          f"{aggregate['speedup_vs_fresh']:.2f}x vs fresh")

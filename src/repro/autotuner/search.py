@@ -13,16 +13,22 @@ generation across worker processes and memoizes every candidate in the
 content-addressed measurement cache.  Because cache keys hash the pass list
 and knobs (not the candidate's name), re-discovered configurations — and
 entire re-runs with the same seed — cost nothing to re-evaluate.
+
+That cache is also how a search resumes.  The search is deterministic in its
+seed, and a smaller budget evaluates a prefix of a larger budget's
+candidates, so rerunning an interrupted search, or extending a finished one
+with more iterations, answers every candidate already measured from the
+cache.  Cache keys hash every package source and the cost models, so a
+resumed search's fitness is always measured by the code that reports it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..passes import PassConfig, available_passes
-from ..experiments.journal import CampaignJournal
 from ..experiments.profiles import Profile, custom_profile
 from ..experiments.runner import BenchmarkRunner
 
@@ -194,122 +200,54 @@ class GeneticAutotuner:
         sizes = measurement.code_bytes or {}
         return cycles + self.size_weight * float(sizes.get("rvc", 0))
 
-    # -- checkpointing ----------------------------------------------------------
-    def _tune_fingerprint(self, benchmark: str) -> dict:
-        """Search identity for journals — everything but the budget.
-
-        ``iterations`` is deliberately excluded so a resumed run can *extend*
-        a finished search with a larger budget instead of starting over.
-        """
-        space = {key: list(value) if isinstance(value, tuple) else value
-                 for key, value in asdict(self.space).items()}
-        return {"kind": "autotune", "benchmark": benchmark, "seed": self.seed,
-                "zkvm": self.zkvm, "population_size": self.population_size,
-                "generation_size": self.generation_size,
-                "size_weight": self.size_weight, "space": space}
-
-    def _record_generation(self, journal, evaluated: int,
-                           population: list, history: list) -> None:
-        """Checkpoint one completed generation (population + RNG state).
-
-        The RNG state makes resumption *exact*: the continued search breeds
-        the same children an uninterrupted run would have.
-        """
-        if journal is None:
-            return
-        state = self.random.getstate()
-        journal.record({
-            "type": "generation", "evaluated": evaluated,
-            "population": [{"passes": list(c.passes),
-                            "inline_threshold": c.inline_threshold,
-                            "unroll_threshold": c.unroll_threshold,
-                            "fitness": c.fitness} for c in population],
-            "history": [[count, fitness] for count, fitness in history],
-            "rng": [state[0], list(state[1]), state[2]],
-        })
-
     # -- search ---------------------------------------------------------------------
-    def tune(self, benchmark: str, iterations: int = 40,
-             journal=None, resume: bool = False) -> AutotuneResult:
+    def tune(self, benchmark: str, iterations: int = 40) -> AutotuneResult:
         """Run the genetic search for (at most) ``iterations`` evaluations.
 
         The initial population and every subsequent generation of children
         are each evaluated as one batched shard (parallel under an engine;
         see :meth:`evaluate_generation`).
-
-        ``journal`` (a path or :class:`CampaignJournal`) checkpoints every
-        finished generation; ``resume=True`` restores the latest checkpoint —
-        population, fitness history and RNG state — and continues toward
-        ``iterations``, reproducing the uninterrupted search exactly (the
-        journal must come from the same benchmark/seed/space, else
-        :class:`~repro.experiments.journal.JournalMismatch`).  Combined with
-        an engine's measurement cache, the replayed work costs nothing.
         """
         from ..experiments.profiles import baseline_profile, profile_by_name
 
-        if journal is not None and not isinstance(journal, CampaignJournal):
-            journal = CampaignJournal(journal)
-        checkpoints = []
-        if journal is not None:
-            checkpoints = [record for record
-                           in journal.open(self._tune_fingerprint(benchmark),
-                                           resume=resume)
-                           if record.get("type") == "generation"]
+        baseline = self.runner.measure(benchmark, baseline_profile())
+        o3 = self.runner.measure(benchmark, profile_by_name("-O3"))
+        baseline_cycles = int(baseline.metric(self.zkvm, "total_cycles"))
+        o3_cycles = int(o3.metric(self.zkvm, "total_cycles"))
 
-        try:
-            baseline = self.runner.measure(benchmark, baseline_profile())
-            o3 = self.runner.measure(benchmark, profile_by_name("-O3"))
-            baseline_cycles = int(baseline.metric(self.zkvm, "total_cycles"))
-            o3_cycles = int(o3.metric(self.zkvm, "total_cycles"))
+        population = [self.random_candidate()
+                      for _ in range(self.population_size)]
+        # Seed the population with the -O3 sequence so the search starts from
+        # a strong configuration (OpenTuner does the same with -O3 as a
+        # baseline).
+        from ..passes import OPTIMIZATION_LEVELS
+        population[0] = Candidate(
+            list(OPTIMIZATION_LEVELS["-O3"])[: self.space.max_depth],
+            inline_threshold=325, unroll_threshold=300)
 
-            if checkpoints:
-                latest = checkpoints[-1]
-                population = [Candidate(**entry)
-                              for entry in latest["population"]]
-                evaluated = latest["evaluated"]
-                history = [tuple(item) for item in latest["history"]]
-                rng = latest["rng"]
-                self.random.setstate((rng[0], tuple(rng[1]), rng[2]))
-                self.evaluations += evaluated
-            else:
-                population = [self.random_candidate()
-                              for _ in range(self.population_size)]
-                # Seed the population with the -O3 sequence so the search
-                # starts from a strong configuration (OpenTuner does the same
-                # with -O3 as a baseline).
-                from ..passes import OPTIMIZATION_LEVELS
-                population[0] = Candidate(
-                    list(OPTIMIZATION_LEVELS["-O3"])[: self.space.max_depth],
-                    inline_threshold=325, unroll_threshold=300)
+        history = []
+        # Always evaluate at least one candidate so a tiny/zero budget still
+        # yields a well-formed result (the -O3 seed).
+        population = population[: max(1, iterations)]
+        self.evaluate_generation(benchmark, population)
+        evaluated = len(population)
+        best = min(population, key=lambda c: c.fitness
+                   if c.fitness is not None else float("inf"))
+        history.append((evaluated, best.fitness))
 
-                history = []
-                # Always evaluate at least one candidate so a tiny/zero budget
-                # still yields a well-formed result (the -O3 seed).
-                population = population[: max(1, iterations)]
-                self.evaluate_generation(benchmark, population)
-                evaluated = len(population)
-                best = min(population, key=lambda c: c.fitness
-                           if c.fitness is not None else float("inf"))
-                history.append((evaluated, best.fitness))
-                self._record_generation(journal, evaluated, population, history)
-
-            while evaluated < iterations:
-                population.sort(key=lambda c: c.fitness
-                                if c.fitness is not None else float("inf"))
-                survivors = population[: max(2, self.population_size // 3)]
-                children = [self._breed(survivors)
-                            for _ in range(min(self.generation_size,
-                                               iterations - evaluated))]
-                self.evaluate_generation(benchmark, children)
-                evaluated += len(children)
-                population.extend(children)
-                best = min(population, key=lambda c: c.fitness
-                           if c.fitness is not None else float("inf"))
-                history.append((evaluated, best.fitness))
-                self._record_generation(journal, evaluated, population, history)
-        finally:
-            if journal is not None:
-                journal.close()
+        while evaluated < iterations:
+            population.sort(key=lambda c: c.fitness
+                            if c.fitness is not None else float("inf"))
+            survivors = population[: max(2, self.population_size // 3)]
+            children = [self._breed(survivors)
+                        for _ in range(min(self.generation_size,
+                                           iterations - evaluated))]
+            self.evaluate_generation(benchmark, children)
+            evaluated += len(children)
+            population.extend(children)
+            best = min(population, key=lambda c: c.fitness
+                       if c.fitness is not None else float("inf"))
+            history.append((evaluated, best.fitness))
 
         population.sort(key=lambda c: c.fitness if c.fitness is not None else float("inf"))
         best = population[0]

@@ -16,7 +16,7 @@ content-addressed on-disk cache afterwards:
 * ``repro autotune BENCH`` — run the genetic autotuner, generations batched.
 * ``repro passes BENCH..`` — show a profile's pass pipeline; with ``--time``,
   compile the benchmarks and report per-pass wall time plus analysis-cache
-  activity (computed/hits/invalidated/drifted/skipped).
+  activity (computed/hits/drifted/skipped).
 * ``repro lower BENCH..``  — show the backend's assembly; with ``--stats``,
   per-function static instruction counts (lowered and final), spill
   statistics and peephole hit counts.
@@ -34,9 +34,11 @@ directory, the emulator's instruction budget and the fault-tolerance knobs
 (``--job-timeout``, ``--retries``, ``--stats``).  ``--json`` on the reporting
 subcommands emits machine-readable output for scripting.
 
-Long campaigns (``fuzz``, ``autotune``) survive interruption: ``Ctrl-C``
-exits with status 130 after journaling completed work, and ``--resume``
-picks up where the journal left off.
+Long campaigns survive interruption: ``Ctrl-C`` exits with status 130.  A
+``fuzz`` campaign journals each completed shard, and ``--resume`` picks up
+where the journal left off.  An ``autotune`` search needs no journal: its
+finished candidates are in the measurement cache, so rerunning the same
+command (or a larger ``--iterations``) replays them as cache hits.
 """
 
 from __future__ import annotations
@@ -307,7 +309,7 @@ def _cmd_regenerate(args) -> int:
 
 
 def _journal_for(args, default_name: str):
-    """The journal path for a campaign subcommand, or None when disabled.
+    """The journal path for a fuzz campaign, or None when disabled.
 
     Journaling engages when ``--journal`` names one explicitly or ``--resume``
     asks to continue the derived default for these campaign parameters.
@@ -322,25 +324,20 @@ def _journal_for(args, default_name: str):
 
 def _cmd_autotune(args) -> int:
     from .autotuner import GeneticAutotuner
-    from .experiments.journal import JournalMismatch
 
     engine = _make_engine(args)
     tuner = GeneticAutotuner(runner=engine, seed=args.seed, zkvm=args.zkvm,
                              population_size=args.population,
                              size_weight=args.size_weight)
-    journal = _journal_for(
-        args, f"autotune-{args.benchmark}-{args.seed}-{args.zkvm}")
     try:
         result = tuner.tune(_check_benchmark(args.benchmark),
-                            iterations=args.iterations,
-                            journal=journal, resume=args.resume)
-    except JournalMismatch as exc:
-        raise UsageError(str(exc)) from exc
+                            iterations=args.iterations)
     except KeyboardInterrupt:
-        print(f"\ninterrupted; completed generations are journaled"
-              + (f" in {journal} — rerun with --resume to continue"
-                 if journal is not None else
-                 " only with --journal/--resume"), file=sys.stderr)
+        print("\ninterrupted; finished candidates are in the measurement "
+              "cache — rerun the same command to continue"
+              if engine.cache is not None else
+              "\ninterrupted; --no-disk-cache kept no finished candidates",
+              file=sys.stderr)
         _report_engine(engine, full=args.engine_stats)
         return 130
     summary = {
@@ -381,8 +378,7 @@ def _cmd_passes(args) -> int:
     # One slot per pipeline position, aggregated across the benchmarks.
     slots: list[dict] = [
         {"name": name, "seconds": 0.0, "changed": 0,
-         "computed": 0, "hits": 0, "invalidated": 0, "drifted": 0,
-         "skipped": 0}
+         "computed": 0, "hits": 0, "drifted": 0, "skipped": 0}
         for name in profile.passes
     ]
     for benchmark_name in benchmarks:
@@ -393,7 +389,7 @@ def _cmd_passes(args) -> int:
             slot = slots[timing.index]
             slot["seconds"] += timing.seconds
             slot["changed"] += int(timing.changed)
-            for key in ("computed", "hits", "invalidated", "drifted", "skipped"):
+            for key in ("computed", "hits", "drifted", "skipped"):
                 slot[key] += getattr(timing.analysis, key)
 
     if args.json:
@@ -402,19 +398,18 @@ def _cmd_passes(args) -> int:
         return 0
     rows = [[index, slot["name"], f"{slot['seconds'] * 1000:.2f}",
              slot["changed"], slot["computed"], slot["hits"],
-             slot["invalidated"], slot["drifted"], slot["skipped"]]
+             slot["drifted"], slot["skipped"]]
             for index, slot in enumerate(slots)]
     total = sum(slot["seconds"] for slot in slots)
     rows.append(["", "TOTAL", f"{total * 1000:.2f}",
                  sum(s["changed"] for s in slots),
                  sum(s["computed"] for s in slots),
                  sum(s["hits"] for s in slots),
-                 sum(s["invalidated"] for s in slots),
                  sum(s["drifted"] for s in slots),
                  sum(s["skipped"] for s in slots)])
     print(format_table(
         ["#", "pass", "total ms", "changed", "computed", "hits",
-         "invalidated", "drifted", "skipped"],
+         "drifted", "skipped"],
         rows,
         title=f"Pass pipeline timing — {profile.name} over "
               f"{len(benchmarks)} benchmark(s)"))
@@ -637,8 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("number", help="3, 4, 5, 6, 7, 8, 9, 14 or 15")
-    p.add_argument("--benchmarks", nargs="+", default=None)
-    p.add_argument("--passes", nargs="+", default=None)
+    p.add_argument("--benchmarks", nargs="+", action="extend", default=None)
+    p.add_argument("--passes", nargs="+", action="extend", default=None,
+                   help="pass names, repeatable; figure 9 takes any profile, "
+                        "a level as --passes=-O3")
     p.add_argument("--iterations", type=int, default=None,
                    help="autotuner budget (figure 6 only)")
     p.add_argument("--seed", type=int, default=None,
@@ -648,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("number", help="1, 2, 3 or 6")
-    p.add_argument("--benchmarks", nargs="+", default=None)
-    p.add_argument("--passes", nargs="+", default=None)
+    p.add_argument("--benchmarks", nargs="+", action="extend", default=None)
+    p.add_argument("--passes", nargs="+", action="extend", default=None,
+                   help="pass names (repeatable)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_regenerate, registry=_table_registry)
 
@@ -663,12 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight of the RVC binary footprint in candidate "
                         "fitness (cycles + weight * code_bytes; default 0 = "
                         "cycles only)")
-    p.add_argument("--journal", default=None,
-                   help="checkpoint each generation to this journal (a name "
-                        "under the cache root, or a path)")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the journal's last generation "
-                        "(restores population, history and RNG state)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_autotune)
 

@@ -1,19 +1,20 @@
-"""Append-only campaign journals: checkpoint/resume for long runs.
+"""Append-only campaign journals: checkpoint/resume for fuzz campaigns.
 
 A journal is a JSONL file under ``<cache root>/journals/``: the first line is
 a header naming the campaign it belongs to (a *fingerprint* dict of every
 parameter that shapes the campaign's work), and every subsequent line is one
-completed unit of work — a fuzzing shard, an autotuner generation.  Records
-are flushed and fsynced as they are written, so a ``SIGINT``, an OOM kill or
-a pulled plug loses at most the record being written; ``--resume`` replays
-the journal and re-submits only the missing work.
+completed unit of work, a fuzzing shard.  Records are flushed and fsynced as
+they are written, so a ``SIGINT``, an OOM kill or a pulled plug loses at most
+the record being written; ``--resume`` replays the journal and re-submits
+only the missing work.  Fuzz verdicts are not measurements, so nothing else
+keeps them; an autotune search resumes from the measurement cache instead.
 
 Two guarantees make resumption safe:
 
 * **Identity** — :meth:`CampaignJournal.open` refuses to resume a journal
   whose header fingerprint differs from the requested campaign (changed
-  seeds, modes, profiles, generator output...), so stale journals can never
-  silently splice foreign results into a run.
+  seeds, modes, profiles, generator output, package sources...), so stale
+  journals can never silently splice foreign results into a run.
 * **Torn tails** — a record interrupted mid-write (truncated last line) is
   skipped on load instead of poisoning the parse; its shard simply re-runs.
 """

@@ -29,6 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..experiments.cache import _source_digest
 from ..experiments.engine import ExperimentEngine
 from ..experiments.faults import JobFailure, fault_point
 from ..experiments.journal import CampaignJournal
@@ -139,7 +140,9 @@ def _campaign_fingerprint(seeds: int, start_seed: int, mode: str,
 
     Includes a digest of the generated programs themselves, so a generator
     change (new repro version, new modes) invalidates old journals even when
-    the seed range looks identical.
+    the seed range looks identical, and a digest of every package source, so
+    a resume after an edit to the compiler or emulator refuses instead of
+    mixing verdicts from two versions of the code.
     """
     blob = "\x1e".join(f"{seed}\x1f{prog_mode}\x1f{source}"
                        for seed, prog_mode, source in entries)
@@ -152,6 +155,7 @@ def _campaign_fingerprint(seeds: int, start_seed: int, mode: str,
         "emulator_max_instructions": config.emulator_max_instructions,
         "verify_each_pass": config.verify_each_pass,
         "programs": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+        "sources": _source_digest(),
     }
 
 

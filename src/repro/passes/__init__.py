@@ -6,10 +6,7 @@ addressed by name (``run_passes(module, ["licm"])``), and the preset levels
 :func:`repro.passes.pipelines.pipeline_for_level`.
 """
 
-from .analysis import (
-    ALL_ANALYSES, AnalysisManager, AnalysisStats, PRESERVE_ALL, PRESERVE_NONE,
-    StaleAnalysisError,
-)
+from .analysis import AnalysisManager, AnalysisStats, StaleAnalysisError
 from .pass_manager import (
     FunctionPass, ModulePass, Pass, PassConfig, PassManager, PassPipelineError,
     PassTiming, available_passes, get_pass, register_pass, run_passes,
@@ -27,8 +24,7 @@ from . import (  # noqa: F401,E402
 )
 
 __all__ = [
-    "ALL_ANALYSES", "AnalysisManager", "AnalysisStats", "PRESERVE_ALL",
-    "PRESERVE_NONE", "StaleAnalysisError",
+    "AnalysisManager", "AnalysisStats", "StaleAnalysisError",
     "FunctionPass", "ModulePass", "Pass", "PassConfig", "PassManager",
     "PassPipelineError", "PassTiming",
     "available_passes", "get_pass", "register_pass", "run_passes",

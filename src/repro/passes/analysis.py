@@ -5,24 +5,18 @@ Rebuilding :class:`~repro.ir.dominators.DominatorTree`,
 scratch inside every pass, on every ``run_on_function`` call, is the
 compile-time problem LLVM's AnalysisManager solves.  This module provides the
 equivalent: passes *request* analyses from an :class:`AnalysisManager`, which
-computes them lazily, caches them per function, and drops them when a pass
-reports that it modified the function.
+computes them lazily and caches them per function.
 
-Invalidation is two-tiered:
-
-* **Explicit (preserves-sets).**  Every :class:`~repro.passes.pass_manager.Pass`
-  declares ``preserves: frozenset[str]`` — the analyses that remain valid even
-  when the pass changed the function.  After a pass reports a change, the
-  manager drops exactly the non-preserved analyses of the functions the pass
-  touched (function passes invalidate per function as they go; module passes
-  such as ``inline`` report the precise set of functions they modified).
-
-* **CFG-version safety net.**  Every cached analysis records the owning
-  function's CFG version (:attr:`repro.ir.function.Function.cfg_version`),
-  which every block-graph mutation bumps.  A request that finds a cached
-  result from an older version recomputes instead of returning it.  This
-  makes a wrong preserves declaration a performance bug rather than a silent
-  miscompile — as long as the mutation went through the IR's mutation APIs.
+One rule decides reuse.  Every managed analysis is a pure function of the
+block graph, and every block-graph mutation bumps the owning function's
+:attr:`~repro.ir.function.Function.cfg_version`.  A cached result records the
+version it was computed at and is served exactly when the function is still
+at that version; otherwise :meth:`AnalysisManager.get` recomputes it
+(``stats.drifted``).  No pass declares what it preserves and nothing is
+dropped explicitly.  A pass that only rewrites instructions leaves the
+version unchanged, so every cached analysis stays servable; an analysis a
+pass computed after its own CFG change is served to the next pass as is.
+The rule holds as long as mutations go through the IR's mutation APIs.
 
 ``verify=True`` (debug mode) additionally recomputes every analysis on each
 cache hit and cross-checks it against the cached result, catching mutations
@@ -31,46 +25,26 @@ that bypassed the IR mutation APIs entirely; see :meth:`verify_analyses`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..ir import (
     DominatorTree, Function, LoopInfo, dominance_frontiers, reachable_blocks,
 )
 
-# Analysis names.  Passes refer to these in their ``preserves`` sets.
+# Analysis names.
 DOMTREE = "domtree"
 LOOPS = "loops"
 FRONTIERS = "frontiers"
 REACHABLE = "reachable"
-
-ALL_ANALYSES: tuple[str, ...] = (DOMTREE, LOOPS, FRONTIERS, REACHABLE)
-
-#: Declared by passes that never change the block graph (they may still add,
-#: move, replace or erase non-terminator instructions and phis — none of the
-#: managed analyses read those).
-PRESERVE_ALL: frozenset[str] = frozenset(ALL_ANALYSES)
-
-#: Declared by passes that may change the block graph in any way.
-PRESERVE_NONE: frozenset[str] = frozenset()
-
-#: An analysis is only retained if every analysis it was derived from is
-#: retained too (``LoopInfo`` and the dominance frontiers embed the dominator
-#: tree they were built from).
-_DEPENDENCIES: dict[str, frozenset[str]] = {
-    DOMTREE: frozenset(),
-    LOOPS: frozenset({DOMTREE}),
-    FRONTIERS: frozenset({DOMTREE}),
-    REACHABLE: frozenset(),
-}
 
 
 class StaleAnalysisError(RuntimeError):
     """A cached analysis no longer matches the IR it claims to describe.
 
     Raised only by the debug-mode cross-check (``verify=True`` or an explicit
-    :meth:`AnalysisManager.verify_analyses` call); in production mode the
-    CFG-version safety net silently recomputes drifted analyses instead.
+    :meth:`AnalysisManager.verify_analyses` call); in production mode a
+    request recomputes an analysis whose CFG version has moved instead.
     """
 
 
@@ -82,29 +56,25 @@ class AnalysisStats:
     hits: int = 0
     #: Requests that ran the underlying analysis.
     computed: int = 0
-    #: Cache entries dropped by explicit (preserves-driven) invalidation.
-    invalidated: int = 0
-    #: Cache entries dropped because the function's CFG version moved on
-    #: without an explicit invalidation (the safety net firing).
+    #: Requests that found a cached entry from an older CFG version.
     drifted: int = 0
     #: Function-pass invocations skipped because the pass already proved
     #: itself a no-op on the identical IR epoch.
     skipped: int = 0
 
     def snapshot(self) -> "AnalysisStats":
-        return AnalysisStats(self.hits, self.computed, self.invalidated,
-                             self.drifted, self.skipped)
+        return AnalysisStats(self.hits, self.computed, self.drifted,
+                             self.skipped)
 
     def delta(self, since: "AnalysisStats") -> "AnalysisStats":
         return AnalysisStats(self.hits - since.hits,
                              self.computed - since.computed,
-                             self.invalidated - since.invalidated,
                              self.drifted - since.drifted,
                              self.skipped - since.skipped)
 
 
 class AnalysisManager:
-    """Lazily computes and caches per-function analyses with invalidation.
+    """Lazily computes and caches per-function analyses by CFG version.
 
     Parameters
     ----------
@@ -169,38 +139,11 @@ class AnalysisManager:
                     self._cross_check(name, function, result)
                 self.stats.hits += 1
                 return result
-            # The CFG moved on without an explicit invalidation: safety net.
-            del entry[name]
             self.stats.drifted += 1
         result = self._compute(name, function)
         self.stats.computed += 1
         entry[name] = (version, result)
         return result
-
-    # -- invalidation -------------------------------------------------------
-    def invalidate(self, function: Function,
-                   preserved: frozenset[str] = PRESERVE_NONE) -> int:
-        """Drop this function's analyses except the preserved ones.
-
-        An analysis is retained only if it *and* everything it was derived
-        from is preserved.  Returns the number of entries dropped.
-        """
-        entry = self._cache.get(function)
-        if not entry:
-            return 0
-        dropped = 0
-        for name in list(entry):
-            keep = name in preserved and _DEPENDENCIES[name] <= preserved
-            if not keep:
-                del entry[name]
-                dropped += 1
-        self.stats.invalidated += dropped
-        return dropped
-
-    def invalidate_functions(self, functions: Iterable[Function],
-                             preserved: frozenset[str] = PRESERVE_NONE) -> int:
-        """Precise module-pass invalidation: only the touched functions."""
-        return sum(self.invalidate(function, preserved) for function in functions)
 
     def clear(self) -> None:
         """Drop every cached analysis (new module, new pipeline run)."""
@@ -217,16 +160,21 @@ class AnalysisManager:
 
     # -- debug cross-check --------------------------------------------------
     def verify_analyses(self, function: Optional[Function] = None) -> None:
-        """Recompute every cached analysis and compare with the cache.
+        """Recompute every servable cached analysis and compare.
 
-        Raises :class:`StaleAnalysisError` on any mismatch — including
-        mutations that bypassed the IR mutation APIs and therefore did not
-        bump the CFG version.  With no argument, checks every cached function.
+        Checks the entries :meth:`get` would serve, those at the function's
+        current CFG version, and raises :class:`StaleAnalysisError` on any
+        mismatch: a mutation that bypassed the IR mutation APIs and so did
+        not bump the version.  With no argument, checks every cached
+        function.
         """
         functions = [function] if function is not None else list(self._cache)
         for checked in functions:
-            for name, (_, result) in list(self._cache.get(checked, {}).items()):
-                self._cross_check(name, checked, result)
+            version = checked.cfg_version
+            for name, (cached_version, result) in \
+                    list(self._cache.get(checked, {}).items()):
+                if cached_version == version:
+                    self._cross_check(name, checked, result)
 
     def _cross_check(self, name: str, function: Function, cached) -> None:
         fresh = self._compute(name, function)
@@ -234,7 +182,7 @@ class AnalysisManager:
             raise StaleAnalysisError(
                 f"cached '{name}' of function '{function.name}' does not match "
                 f"a fresh recomputation; a pass mutated the CFG without "
-                f"invalidating (or bypassed the IR mutation APIs)")
+                f"bumping its version (bypassed the IR mutation APIs)")
 
 
 def _equivalent(name: str, cached, fresh) -> bool:
@@ -263,6 +211,6 @@ def _equivalent(name: str, cached, fresh) -> bool:
 
 
 __all__ = [
-    "ALL_ANALYSES", "AnalysisManager", "AnalysisStats", "DOMTREE", "FRONTIERS",
-    "LOOPS", "PRESERVE_ALL", "PRESERVE_NONE", "REACHABLE", "StaleAnalysisError",
+    "AnalysisManager", "AnalysisStats", "DOMTREE", "FRONTIERS", "LOOPS",
+    "REACHABLE", "StaleAnalysisError",
 ]

@@ -19,7 +19,7 @@ from ..ir import (
     Function, GEP, GlobalVariable, ICmp, Instruction, Load, Module, Phi, Select,
     Store, Value, COMMUTATIVE_OPS,
 )
-from .analysis import PRESERVE_ALL, AnalysisManager
+from .analysis import AnalysisManager
 from .pass_manager import FunctionPass, register_pass
 from .utils import replace_and_erase, underlying_object
 
@@ -212,7 +212,6 @@ class EarlyCSE(FunctionPass):
     name = "early-cse"
     module_independent = True
     description = "Dominator-scoped CSE with block-local load elimination"
-    preserves = PRESERVE_ALL  # replaces/erases non-terminators only
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         return _dominator_scoped_cse(function, eliminate_loads=True,
@@ -231,7 +230,6 @@ class GVN(FunctionPass):
 
     name = "gvn"
     description = "Global value numbering and load elimination"
-    preserves = PRESERVE_ALL  # replaces/erases non-terminators only
 
     def run(self, module: Module) -> bool:
         self._module_summary = module_store_summary(module)
@@ -255,7 +253,6 @@ class NewGVN(FunctionPass):
     name = "newgvn"
     module_independent = True
     description = "Value numbering of pure expressions over the whole function"
-    preserves = PRESERVE_ALL  # replaces/erases non-terminators only
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         if not function.blocks:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..ir import Branch, CondBranch, Function, Module, remove_unreachable_blocks
-from .analysis import PRESERVE_ALL
 from .pass_manager import FunctionPass, register_pass
 from .utils import is_trivially_dead
 
@@ -30,7 +29,6 @@ class DCE(FunctionPass):
     name = "dce"
     module_independent = True
     description = "Remove side-effect-free instructions whose results are unused"
-    preserves = PRESERVE_ALL  # terminators are never trivially dead
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         return eliminate_dead_code(function)

@@ -159,7 +159,6 @@ class _InlinerBase(ModulePass):
 
     always_only = False
     max_rounds = 4
-    tracks_modified = True
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -173,7 +172,6 @@ class _InlinerBase(ModulePass):
                     continue
                 if should_inline(site, caller, callee, self.config, self.always_only):
                     if inline_call_site(site, caller, callee):
-                        self.note_modified(caller)
                         round_changed = True
             changed |= round_changed
             if not round_changed:
@@ -210,7 +208,6 @@ class PartialInliner(ModulePass):
 
     name = "partial-inliner"
     description = "Inline early-return guards of callees at their call sites"
-    tracks_modified = True  # rewrites the caller; callees are only read
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -224,7 +221,6 @@ class PartialInliner(ModulePass):
             if guard is None:
                 continue
             if self._apply(site, caller, callee, guard):
-                self.note_modified(caller)
                 changed = True
         return changed
 

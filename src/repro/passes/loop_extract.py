@@ -129,7 +129,6 @@ class LoopExtract(ModulePass):
 
     name = "loop-extract"
     description = "Outline natural loops into separate functions"
-    tracks_modified = True  # the source function; outlined ones are brand new
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -145,7 +144,6 @@ class LoopExtract(ModulePass):
                 for loop in loops:
                     counter += 1
                     if extract_loop(loop, function, module, counter):
-                        self.note_modified(function)
                         extracted = True
                         changed = True
                         break

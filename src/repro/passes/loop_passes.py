@@ -15,7 +15,6 @@ from ..ir import (
     remove_unreachable_blocks, I1,
 )
 from ..ir.cloning import clone_instruction
-from .analysis import PRESERVE_ALL
 from .pass_manager import FunctionPass, register_pass
 from .loop_utils import (
     ensure_preheader, find_induction_variable, form_lcssa, loop_is_invariant,
@@ -103,7 +102,6 @@ class LoopInstSimplify(_LoopPassBase):
     module_independent = True
     description = "Simplify instructions inside loops"
     canonicalize = False
-    preserves = PRESERVE_ALL  # no canonicalization; folds instructions only
 
     def run_on_loop(self, loop: Loop, function: Function, module: Module) -> bool:
         return run_instsimplify(function, only_blocks=loop.blocks)

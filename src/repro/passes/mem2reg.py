@@ -15,7 +15,7 @@ from ..ir import (
     Alloca, BasicBlock, DominatorTree, Function, Load, Module, Phi, Store,
     UndefValue, dominance_frontiers, remove_unreachable_blocks, I32,
 )
-from .analysis import PRESERVE_ALL, AnalysisManager
+from .analysis import AnalysisManager
 from .pass_manager import FunctionPass, register_pass
 
 
@@ -153,10 +153,6 @@ class Mem2Reg(FunctionPass):
     name = "mem2reg"
     module_independent = True
     description = "Promote alloca'd scalars into SSA registers"
-    # The only CFG mutation (the unreachable-block sweep) happens before the
-    # analyses are requested; the results cached during the pass therefore
-    # describe the final CFG, and the version safety net covers the sweep.
-    preserves = PRESERVE_ALL
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         return promote_allocas(function, promotable_allocas(function),

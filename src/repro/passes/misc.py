@@ -10,7 +10,7 @@ from ..ir import (
     Function, GEP, GlobalVariable, ICmp, Instruction, Load,
     Module, Phi, Ret, Select, Store, Unreachable, I1, I32,
 )
-from .analysis import PRESERVE_ALL, AnalysisManager
+from .analysis import AnalysisManager
 from .pass_manager import FunctionPass, ModulePass, register_pass
 from .utils import constant_value, underlying_object
 
@@ -26,7 +26,6 @@ class Sink(FunctionPass):
     name = "sink"
     module_independent = True
     description = "Move instructions into the successor blocks that use them"
-    preserves = PRESERVE_ALL  # moves non-terminators between existing blocks
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         changed = False
@@ -65,7 +64,6 @@ class MergedLoadStoreMotion(FunctionPass):
     name = "mldst-motion"
     module_independent = True
     description = "Merge identical memory accesses from both sides of a diamond"
-    preserves = PRESERVE_ALL  # moves/erases non-terminators only
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         changed = False
@@ -120,7 +118,6 @@ class Attributor(ModulePass):
 
     name = "attributor"
     description = "Infer and exploit function attributes"
-    preserves = PRESERVE_ALL  # deletes unused calls and adds attributes only
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -181,7 +178,6 @@ class SpeculativeExecution(FunctionPass):
     name = "speculative-execution"
     module_independent = True
     description = "Hoist side-effect-free instructions above branches"
-    preserves = PRESERVE_ALL  # moves non-terminators between existing blocks
 
     MAX_SPECULATED = 4
 

@@ -6,9 +6,9 @@ unoptimized module produced by the frontend.
 
 Passes no longer construct :class:`~repro.ir.dominators.DominatorTree` /
 :class:`~repro.ir.loops.LoopInfo` themselves — they request them from the
-pipeline's :class:`~repro.passes.analysis.AnalysisManager` (``self.analysis``)
-and declare which analyses they preserve via ``preserves``; see
-:mod:`repro.passes.analysis` for the invalidation rules.
+pipeline's :class:`~repro.passes.analysis.AnalysisManager` (``self.analysis``),
+which serves a cached analysis exactly while the function's CFG version is
+unchanged; see :mod:`repro.passes.analysis`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from ..ir import Function, Module, verify_module
 from ..ir.analysis_cache import cfg_cache_disabled
-from .analysis import AnalysisManager, AnalysisStats, PRESERVE_NONE
+from .analysis import AnalysisManager, AnalysisStats
 
 
 @dataclass
@@ -98,48 +98,19 @@ class Pass:
     name = "<abstract>"
     description = ""
 
-    #: Analyses still valid for the functions this pass *modified* (see
-    #: :data:`repro.passes.analysis.PRESERVE_ALL` /
-    #: :data:`~repro.passes.analysis.PRESERVE_NONE`).  Unmodified functions
-    #: keep everything regardless.
-    preserves: frozenset[str] = PRESERVE_NONE
-
-    #: Module passes that report the exact functions they modified (via
-    #: :meth:`note_modified`) set this, enabling precise invalidation.
-    tracks_modified = False
-
     def __init__(self, config: Optional[PassConfig] = None):
         self.config = config or PassConfig()
         # Standalone pass runs compute analyses fresh per request; the pass
         # manager injects its shared caching manager before each pipeline run.
         self.analysis = AnalysisManager(enabled=False)
-        self._modified_functions: Optional[set[Function]] = None
 
     def run(self, module: Module) -> bool:
         """Run on a module; return True if the IR changed."""
         raise NotImplementedError
 
-    # -- modification reporting (module passes) ----------------------------
-    def note_modified(self, function: Optional[Function]) -> None:
-        """Record that ``function`` was modified (for precise invalidation)."""
-        if function is not None and self._modified_functions is not None:
-            self._modified_functions.add(function)
-
-    def begin_tracking(self) -> None:
-        self._modified_functions = set() if self.tracks_modified else None
-
-    def take_modified(self) -> Optional[set[Function]]:
-        """The functions modified since :meth:`begin_tracking`, or ``None``
-        when this pass does not track (callers must then assume *all*)."""
-        modified, self._modified_functions = self._modified_functions, None
-        return modified
-
 
 class FunctionPass(Pass):
     """A pass that runs independently on every defined function.
-
-    Handles its own invalidation: after ``run_on_function`` reports a change,
-    the non-preserved analyses of exactly that function are dropped.
 
     Passes whose behaviour depends only on the function they are given (and
     their config) set ``module_independent = True``; the manager then skips
@@ -170,16 +141,9 @@ class FunctionPass(Pass):
                     manager.stats.skipped += 1
                     continue
             self.current_function = function
-            version_before = function.cfg_version
-            function_changed = bool(self.run_on_function(function, module))
-            self.current_function = None
-            if function_changed:
-                # The managed analyses are pure functions of the block graph;
-                # a pass that only touched instructions (version unchanged)
-                # preserves all of them regardless of its declaration.
-                if function.cfg_version != version_before:
-                    self.analysis.invalidate(function, self.preserves)
+            if self.run_on_function(function, module):
                 changed = True
+            self.current_function = None
             if skippable and function.ir_version == epoch:
                 manager.record_noop(key, epoch)
         return changed
@@ -234,7 +198,7 @@ class PassManager:
     ----------
     analysis_cache:
         ``True`` (default) shares one caching :class:`AnalysisManager` across
-        the pipeline, with preserves-driven invalidation between passes.
+        the pipeline; an analysis is reused while its CFG version holds.
         ``False`` is the fresh pipeline: every analysis request — including
         the IR-level CFG metadata — is recomputed from scratch, so it is the
         oracle for both cache tiers in differential testing (and the
@@ -283,11 +247,7 @@ class PassManager:
         self.timings = []
         for index, pass_ in enumerate(self.passes):
             pass_.analysis = manager
-            pass_.begin_tracking()
             before = manager.stats.snapshot()
-            versions = {function: function.cfg_version
-                        for function in module.defined_functions()} \
-                if not isinstance(pass_, FunctionPass) else {}
             start = time.perf_counter()
             try:
                 pass_changed = bool(pass_.run(module))
@@ -297,19 +257,6 @@ class PassManager:
                     pass_.name, index,
                     current.name if current is not None else None,
                     error) from error
-            if pass_changed and not isinstance(pass_, FunctionPass):
-                # Function passes invalidate as they go; everything else is
-                # invalidated here — precisely when the pass tracked the
-                # functions it touched, conservatively otherwise.  Functions
-                # whose block graph never moved keep all managed analyses
-                # (they are pure functions of the CFG).
-                modified = pass_.take_modified()
-                targets = modified if modified is not None \
-                    else module.defined_functions()
-                manager.invalidate_functions(
-                    (function for function in targets
-                     if function.cfg_version != versions.get(function, -1)),
-                    pass_.preserves)
             elapsed = time.perf_counter() - start
             self.timings.append(PassTiming(
                 pass_.name, index, elapsed, pass_changed,
@@ -324,10 +271,8 @@ class PassManager:
 
 def run_passes(module: Module, names: Iterable[str],
                config: Optional[PassConfig] = None,
-               verify_each: bool = False,
-               analysis_cache: bool = True) -> Module:
+               verify_each: bool = False) -> Module:
     """Clone ``module``, run the named passes on the clone, and return it."""
     cloned = module.clone()
-    PassManager(names, config, verify_each,
-                analysis_cache=analysis_cache).run(cloned)
+    PassManager(names, config, verify_each).run(cloned)
     return cloned

@@ -11,7 +11,6 @@ from __future__ import annotations
 from ..ir import (
     Alloca, BasicBlock, Function, Instruction, Load, Module, Phi, Store, I32,
 )
-from .analysis import PRESERVE_ALL
 from .pass_manager import FunctionPass, register_pass
 
 
@@ -32,7 +31,6 @@ class Reg2Mem(FunctionPass):
     name = "reg2mem"
     module_independent = True
     description = "Demote cross-block SSA values and phi nodes into stack slots"
-    preserves = PRESERVE_ALL  # inserts allocas/loads/stores; CFG untouched
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         changed = False

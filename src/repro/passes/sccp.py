@@ -206,7 +206,6 @@ class IPSCCP(ModulePass):
 
     name = "ipsccp"
     description = "Interprocedural sparse conditional constant propagation"
-    tracks_modified = True  # reports the exact functions it rewrote
 
     def run(self, module: Module) -> bool:
         changed = False
@@ -236,13 +235,11 @@ class IPSCCP(ModulePass):
                 argument_constants[function] = constants
                 for argument, value in constants.items():
                     argument.replace_all_uses_with(Constant(value))
-                    self.note_modified(function)
                     changed = True
 
         # 2. Per-function SCCP, seeded with the propagated argument constants.
         for function in module.defined_functions():
             if apply_sccp(function, argument_constants.get(function)):
-                self.note_modified(function)
                 changed = True
 
         # 3. Functions that provably return a single constant.
@@ -257,13 +254,6 @@ class IPSCCP(ModulePass):
                     continue
                 for site in call_sites.get(function.name, []):
                     if site.users:
-                        # The rewrite lands in the functions that *use* the
-                        # call result (normally the site's own function).
-                        for user in site.users:
-                            if isinstance(user, Instruction) and user.parent is not None:
-                                self.note_modified(user.parent.parent)
                         site.replace_all_uses_with(Constant(value))
-                        if site.parent is not None:
-                            self.note_modified(site.parent.parent)
                         changed = True
         return changed

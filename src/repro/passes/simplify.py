@@ -17,7 +17,6 @@ from ..ir import (
     BinaryOp, Cast, Constant, Function, GEP, ICmp, Instruction, Module, Phi,
     Select, Value, I1, I32,
 )
-from .analysis import PRESERVE_ALL
 from .pass_manager import FunctionPass, register_pass
 from .utils import (
     constant_value, fold_binary, fold_icmp, is_power_of_two, log2_exact,
@@ -171,7 +170,6 @@ class InstSimplify(FunctionPass):
     name = "instsimplify"
     module_independent = True
     description = "Remove redundant instructions by local simplification"
-    preserves = PRESERVE_ALL  # folds instructions into existing values only
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         return run_instsimplify(function)
@@ -322,7 +320,6 @@ class InstCombine(FunctionPass):
     name = "instcombine"
     module_independent = True
     description = "Algebraic rewrites, canonicalization and strength reduction"
-    preserves = PRESERVE_ALL  # rewrites non-terminator instructions in place
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         combiner = _Combiner(self.config)

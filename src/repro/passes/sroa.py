@@ -8,7 +8,6 @@ promotable scalar to SSA (LLVM's SROA subsumes mem2reg in the same way).
 from __future__ import annotations
 
 from ..ir import Alloca, Constant, Function, GEP, Load, Module, Store, I32
-from .analysis import PRESERVE_ALL
 from .pass_manager import FunctionPass, register_pass
 from .mem2reg import promotable_allocas, promote_allocas
 
@@ -43,9 +42,6 @@ class SROA(FunctionPass):
     name = "sroa"
     module_independent = True
     description = "Split constant-indexed stack arrays into scalars and promote them"
-    # Splitting is pure alloca/GEP surgery; promotion preserves analyses for
-    # the same reason mem2reg does (see Mem2Reg.preserves).
-    preserves = PRESERVE_ALL
 
     def run_on_function(self, function: Function, module: Module) -> bool:
         changed = False

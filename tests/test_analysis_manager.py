@@ -1,12 +1,15 @@
-"""Unit tests for the analysis manager's invalidation semantics.
+"""Unit tests for the analysis manager's one reuse rule.
 
-Covers the contract in :mod:`repro.passes.analysis`:
+Covers the contract in :mod:`repro.passes.analysis`: a cached analysis is
+served exactly while its function's CFG version is unchanged.
 
-* a no-op pass preserves every cached analysis;
-* a mutating pass drops exactly its non-preserved analyses;
+* a no-op pass keeps every cached analysis;
+* a pass that changes the CFG gets its analyses recomputed;
 * a CFG-preserving mutating pass keeps the CFG-derived analyses alive;
-* module passes invalidate precisely the functions they touched;
-* the CFG-version safety net recomputes behind an unreported invalidation;
+* an analysis a pass computes after its own CFG change reaches the next
+  pass as the same object;
+* after a module pass, only the functions whose CFG it changed recompute;
+* any CFG-version bump outdates the cached analyses;
 * a mutation that bypasses the IR mutation APIs is caught by the debug-mode
   ``verify_analyses`` cross-check;
 * no-op pass runs are skipped at unchanged IR epochs (and resume after a
@@ -56,6 +59,43 @@ def _prepared(pass_name):
     return pass_, manager
 
 
+def _split_entry_edge(function):
+    """Insert a block on the entry block's first edge through the IR APIs
+    (bumping the CFG version)."""
+    block = function.blocks[0]
+    split = function.add_block("test.split", after=block)
+    target = block.terminator.successors[0]
+    block.replace_successor(target, split)
+    split.append(Branch(target))
+
+
+class _DomtreeProbe(FunctionPass):
+    """Requests every function's dominator tree and remembers it."""
+
+    name = "domtree-probe"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {}
+
+    def run_on_function(self, function: Function, module: Module) -> bool:
+        self.seen[function.name] = self.analysis.domtree(function)
+        return False
+
+
+class _SplitThenDomtree(FunctionPass):
+    """Changes helper's CFG, then requests its dominator tree."""
+
+    name = "split-then-domtree"
+
+    def run_on_function(self, function: Function, module: Module) -> bool:
+        if function.name != "helper":
+            return False
+        _split_entry_edge(function)
+        self.tree = self.analysis.domtree(function)
+        return True
+
+
 def _swap_a_branch(function):
     """Rewire a conditional branch by direct attribute assignment, bypassing
     the IR mutation APIs (so no version counter moves)."""
@@ -78,16 +118,13 @@ class TestInvalidationSemantics:
         assert not pass_.run(module)
         assert manager.domtree(function) is domtree
         assert manager.loop_info(function) is loops
-        assert manager.stats.invalidated == 0
 
-    def test_mutating_pass_drops_non_preserved_analyses(self):
+    def test_cfg_changing_pass_recomputes_analyses(self):
         module = _module()
         pass_, manager = _prepared("simplifycfg")
-        assert pass_.preserves == frozenset()
         function = module.get_function("helper")
         domtree = manager.domtree(function)
         assert pass_.run(module)  # merges the -O0 block scaffolding
-        assert manager.stats.invalidated > 0
         assert manager.domtree(function) is not domtree
 
     def test_cfg_preserving_pass_keeps_analyses_alive(self):
@@ -97,45 +134,33 @@ class TestInvalidationSemantics:
         domtree = manager.domtree(function)
         assert pass_.run(module)  # strength-reduces the multiplications
         # The IR changed but the block graph did not: the dominator tree must
-        # have survived (version-aware invalidation).
+        # have survived.
         assert manager.domtree(function) is domtree
-        assert manager.stats.invalidated == 0
 
-    def test_module_pass_invalidates_only_touched_functions(self):
-        module = _module()
-        manager = AnalysisManager()
-        caller = module.get_function("main")
-        callee = module.get_function("helper")
-        caller_domtree = manager.domtree(caller)
-        callee_domtree = manager.domtree(callee)
+    def test_analysis_computed_after_a_cfg_change_reaches_the_next_pass(self):
+        splitter, probe = _SplitThenDomtree(), _DomtreeProbe()
+        manager = PassManager([splitter, probe])
+        manager.run(_module())
+        # Still at the version it was computed at: served, not recomputed.
+        assert probe.seen["helper"] is splitter.tree
+        assert manager.timings[1].analysis.computed == 1  # main's tree only
 
-        # Replicates the PassManager protocol for module passes.
-        inline = get_pass("inline")
-        inline.analysis = manager
-        inline.begin_tracking()
-        assert inline.run(module)
-        modified = inline.take_modified()
-        assert modified == {caller}
-        manager.invalidate_functions(modified, inline.preserves)
+    def test_module_pass_recomputes_only_cfg_changed_functions(self):
+        before, after = _DomtreeProbe(), _DomtreeProbe()
+        manager = PassManager([before, "inline", after])
+        manager.run(_module())
+        assert manager.timings[1].changed  # helper inlined into main
+        assert after.seen["helper"] is before.seen["helper"]
+        assert after.seen["main"] is not before.seen["main"]
 
-        assert manager.domtree(callee) is callee_domtree
-        assert manager.domtree(caller) is not caller_domtree
-
-    def test_version_safety_net_catches_unreported_mutation(self):
+    def test_cfg_version_bump_outdates_cached_analyses(self):
         module = _module()
         manager = AnalysisManager()
         function = module.get_function("helper")
         domtree = manager.domtree(function)
-        # Mutate the CFG through the IR APIs but never tell the manager.
-        block = function.blocks[0]
-        split = function.add_block("net.split", after=block)
-        terminator = block.terminator
-        target = terminator.successors[0]
-        block.replace_successor(target, split)
-        split.append(Branch(target))
-        # No invalidate() call happened; the drift check must recompute.
+        _split_entry_edge(function)
         assert manager.domtree(function) is not domtree
-        assert manager.stats.drifted >= 1
+        assert manager.stats.drifted == 1
 
     def test_stale_cache_is_caught_by_verify_analyses(self):
         module = _module()

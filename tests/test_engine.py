@@ -273,6 +273,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["risc0/proving_time"]["min"] > 0
 
+    def test_repeated_list_flags_accumulate(self, tmp_path, capsys):
+        # A level cannot follow a pass name in one --passes (argparse reads
+        # "-O3" as an option), so it comes in its own --passes=-O3.
+        assert self._run(tmp_path, "figure", "9", "--benchmarks", "tailcall",
+                         "--passes", "inline", "--passes=-O3",
+                         "--benchmarks", "fibonacci", "--json") == 0
+        result = json.loads(capsys.readouterr().out)
+        assert list(result) == ["inline", "-O3"]
+        assert list(result["-O3"]) == ["tailcall", "fibonacci"]
+
     def test_compile_run_and_list(self, tmp_path, capsys):
         assert self._run(tmp_path, "compile", "fibonacci", "--profile=-O1") == 0
         assert "main:" in capsys.readouterr().out

@@ -4,9 +4,9 @@ Every degradation path the engine claims to survive is exercised here through
 the deterministic :class:`FaultPlan` harness: a job that raises recorded once
 and never re-run, hung jobs timed out and retried without stalling their
 batch, worker-killing poison jobs bisected out while innocent jobs keep their
-results, damaged cache entries degrading to recomputation, and interrupted
+results, damaged cache entries degrading to recomputation, interrupted fuzz
 campaigns resuming from their journals to the same totals as uninterrupted
-runs.
+runs, and autotune searches resuming from the measurement cache.
 """
 
 import json
@@ -34,6 +34,7 @@ from repro.experiments.faults import (
 from repro.experiments.journal import (
     CampaignJournal, JournalMismatch, resolve_journal_path,
 )
+from repro.fuzz import driver
 from repro.fuzz.driver import run_campaign
 
 
@@ -489,6 +490,17 @@ class TestCampaignResume:
             run_campaign(8, engine=_engine(tmp_path, workers=1), shard_size=3,
                          journal=journal, resume=True)
 
+    def test_fuzz_resume_refuses_a_journal_from_other_code(self, tmp_path,
+                                                           monkeypatch):
+        # Verdicts from two versions of the compiler must not be merged.
+        journal = tmp_path / "fuzz.jsonl"
+        run_campaign(6, engine=_engine(tmp_path, workers=1), shard_size=3,
+                     journal=journal, stop_after_shards=1)
+        monkeypatch.setattr(driver, "_source_digest", lambda: "0" * 64)
+        with pytest.raises(JournalMismatch):
+            run_campaign(6, engine=_engine(tmp_path, workers=1), shard_size=3,
+                         journal=journal, resume=True)
+
     def test_quarantined_shard_reported_not_silent(self, tmp_path):
         # A shard whose worker dies must surface as a structured job_failure
         # on the summary (with every other shard still fuzzed), not vanish.
@@ -501,27 +513,26 @@ class TestCampaignResume:
         assert not summary.clean
         assert summary.ok + summary.failed == summary.unique_programs - 3
 
-    def test_autotune_resume_reproduces_uninterrupted_search(self, tmp_path):
-        engine = _engine(tmp_path, workers=1)
-        journal = tmp_path / "tune.jsonl"
-        GeneticAutotuner(runner=engine, seed=3, population_size=4) \
-            .tune("fibonacci", iterations=4, journal=journal)
-        resumed = GeneticAutotuner(runner=engine, seed=3, population_size=4) \
-            .tune("fibonacci", iterations=8, journal=journal, resume=True)
-        fresh = GeneticAutotuner(runner=engine, seed=3, population_size=4) \
-            .tune("fibonacci", iterations=8)
+    def test_autotune_resumes_from_the_measurement_cache(self, tmp_path):
+        # A second engine on the same cache directory, with a larger budget,
+        # searches exactly like a fresh run, and everything the first search
+        # finished comes back as a disk hit.
+        def tune(cache_dir, iterations):
+            engine = ExperimentEngine(workers=1, cache_dir=cache_dir)
+            result = GeneticAutotuner(runner=engine, seed=3,
+                                      population_size=4) \
+                .tune("fibonacci", iterations=iterations)
+            return result, engine.stats
+
+        _, first = tune(tmp_path / "shared", 4)
+        resumed, stats = tune(tmp_path / "shared", 8)
+        fresh, fresh_stats = tune(tmp_path / "fresh", 8)
+        assert first.errors == 0
+        assert stats.disk_hits == first.computed  # baseline, -O3, 4 candidates
+        assert stats.disk_hits + stats.computed == fresh_stats.computed
         assert resumed.history == fresh.history
         assert resumed.best_cycles == fresh.best_cycles
         assert resumed.best.passes == fresh.best.passes
-
-    def test_autotune_resume_refuses_different_space(self, tmp_path):
-        engine = _engine(tmp_path, workers=1)
-        journal = tmp_path / "tune.jsonl"
-        GeneticAutotuner(runner=engine, seed=3, population_size=4) \
-            .tune("fibonacci", iterations=4, journal=journal)
-        with pytest.raises(JournalMismatch):
-            GeneticAutotuner(runner=engine, seed=4, population_size=4) \
-                .tune("fibonacci", iterations=8, journal=journal, resume=True)
 
 
 class TestStats:
@@ -564,6 +575,15 @@ class TestCliFaultSurface:
 
     def test_cache_subcommand_rejects_no_disk_cache(self, tmp_path):
         assert cli.main(["--no-disk-cache", "cache", "stats"]) == 2
+
+    def test_interrupted_autotune_says_to_rerun(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def interrupted(self, benchmark, iterations=40):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(GeneticAutotuner, "tune", interrupted)
+        assert self._run(tmp_path, "autotune", "fibonacci") == 130
+        assert "rerun the same command" in capsys.readouterr().err
 
     def test_fuzz_journal_resume_cli(self, tmp_path, capsys):
         journal = tmp_path / "j.jsonl"

@@ -7,6 +7,7 @@ from repro.analysis import format_table, kendall_tau, mean, pearson_r, stddev
 from repro.backend import compile_module
 from repro.cpu import CpuTimingModel, DirectMappedCache, TwoBitPredictor
 from repro.emulator import Machine, TraceStats
+from repro.experiments import BenchmarkRunner, baseline_profile
 from repro.frontend import compile_source
 from repro.zkvm import PRECOMPILE_CYCLES, RISC_ZERO, SP1, ZKVMS, make_signature
 from repro.zkvm.precompiles import interpret_host_call
@@ -81,6 +82,26 @@ class TestZkvmModels:
         without = RISC_ZERO.evaluate(trace_plain)
         assert with_precompile.user_cycles == \
             without.user_cycles + 5 * PRECOMPILE_CYCLES["risc0"]["__sha256"]
+
+
+def _segment_gap(name, page_ins, pages):
+    return pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=(
+        f"ROADMAP item 1: the emulator closes a paging segment every 65,536 "
+        f"instructions, the model every 2^20 cycles; baseline {name} pages "
+        f"in {page_ins} times against 1 segment x {pages} page(s) touched")))
+
+
+@pytest.mark.parametrize("name", [
+    _segment_gap("bigmem", 68, 17),
+    _segment_gap("merkle", 19, 4),
+    _segment_gap("spec-631", 5, 1),
+])
+def test_page_ins_fit_the_models_segments(name):
+    """A page is paged in at most once per segment the model proves."""
+    measurement = BenchmarkRunner().measure(name, baseline_profile())
+    trace = measurement.trace
+    assert trace.page_in_events <= \
+        measurement.risc0.segments * trace.unique_pages
 
 
 class TestCpuModel:

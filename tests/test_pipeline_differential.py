@@ -5,9 +5,11 @@ For every seed benchmark and both paper profiles (the CPU-tuned ``-O3`` and
 the zkVM-aware ``-O3-zkvm``), the optimization pipeline runs twice — once
 with the :class:`~repro.passes.analysis.AnalysisManager` caching analyses
 (the default), once through the ``analysis_cache=False`` escape hatch that
-recomputes everything fresh, exactly as the seed pass manager did.  The two
-runs must produce byte-identical printed IR, and the compiled programs must
-produce identical emulator outputs and :class:`TraceStats`.
+recomputes everything fresh, exactly as the seed pass manager did.  The
+cached run is in verify mode, so every cache hit, and after each pass every
+servable cached analysis, is cross-checked against a fresh recomputation.
+The two runs must produce byte-identical printed IR, and the compiled
+programs must produce identical emulator outputs and :class:`TraceStats`.
 
 A third check pins down determinism itself: two fresh runs over separate
 clones must also agree byte-for-byte (the seed pipeline iterated
@@ -52,7 +54,8 @@ def test_cached_pipeline_is_behaviourally_invisible(benchmark_name):
     benchmark = get_benchmark(benchmark_name)
     module = compile_source(benchmark.source, module_name=benchmark_name)
     for profile in _profiles():
-        cached = _optimize(module, profile, analysis_cache=True)
+        cached = _optimize(module, profile, analysis_cache=True,
+                           verify_analyses=True)
         fresh = _optimize(module, profile, analysis_cache=False)
 
         context = f"{benchmark_name} under {profile.name}"
