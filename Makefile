@@ -23,8 +23,9 @@
 #                        RVC code-size bar; writes BENCH_encoding.json (20%
 #                        geomean size reduction enforced)
 #   make fuzz-smoke      ~200-seed differential fuzzing campaign across all
-#                        generator modes, journaled and restarted mid-way to
-#                        exercise --resume (minutes; fails on any divergence)
+#                        generator modes, then the same command again, which
+#                        must answer every program from the cache (minutes;
+#                        fails on any divergence)
 #   make chaos           fault-injection suite: run-once errors, timeout
 #                        retries, poison-job quarantine, cache damage,
 #                        campaign resume (CI runs it inside make test)
@@ -46,7 +47,7 @@ test-engine:
 # The chaos suite: every fault the engine claims to survive, injected
 # deterministically (FaultPlan) and checked end to end — a raised error runs
 # once, only a timed-out job is retried — including a real SIGINT of a
-# running campaign followed by --resume.  Kept for local use: make test and
+# running campaign followed by a rerun.  Kept for local use: make test and
 # the coverage job already run this file.
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py
@@ -96,24 +97,24 @@ bench-encoding:
 
 # Differential fuzzing: generated MiniC programs replayed through every
 # oracle (IR interpreter, backend, all three emulators, cached-vs-fresh
-# pipeline) under both paper profiles.  Runs as a two-step resumable
-# campaign: the first invocation journals a few shards and stops, the second
-# resumes from the journal and must finish the remainder — exercising the
-# checkpoint/restart path on every CI run.  Exits non-zero on any
-# divergence; failures are delta-debugged to minimal reproducers (override
-# the batch: make fuzz-smoke FUZZ_SEEDS=50 FUZZ_START_SEED=1000).
+# pipeline) under both paper profiles.  One campaign into a throwaway cache,
+# then the same command again: the rerun must answer every program from the
+# cache (disk_hits == unique_programs, parallel_jobs == 0) with the same
+# verdicts, which is how an interrupted campaign resumes.  Exits non-zero on
+# any divergence; failures are delta-debugged to minimal reproducers
+# (override the batch: make fuzz-smoke FUZZ_SEEDS=50 FUZZ_START_SEED=1000).
 FUZZ_SEEDS ?= 200
 FUZZ_START_SEED ?= 0
-FUZZ_JOURNAL ?= .fuzz-smoke-journal.jsonl
 fuzz-smoke:
-	rm -f $(FUZZ_JOURNAL)
-	$(PYTHON) -m repro --no-disk-cache fuzz --seeds $(FUZZ_SEEDS) \
-		--start-seed $(FUZZ_START_SEED) --journal $(FUZZ_JOURNAL) \
-		--stop-after-shards 4 --json
-	$(PYTHON) -m repro --no-disk-cache fuzz --seeds $(FUZZ_SEEDS) \
-		--start-seed $(FUZZ_START_SEED) --journal $(FUZZ_JOURNAL) \
-		--resume --minimize --json
-	rm -f $(FUZZ_JOURNAL)
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for run in first rerun; do \
+		$(PYTHON) -m repro --cache-dir "$$dir/cache" fuzz \
+			--seeds $(FUZZ_SEEDS) --start-seed $(FUZZ_START_SEED) \
+			--minimize --json > "$$dir/$$run.json"; status=$$?; \
+		cat "$$dir/$$run.json"; [ $$status -eq 0 ] || exit $$status; \
+	done && \
+	$(PYTHON) -c 'import json, sys; first, rerun = (json.load(open(p)) for p in sys.argv[1:]); stats = rerun["engine_stats"]; sys.exit(0 if stats["disk_hits"] == rerun["unique_programs"] and stats["parallel_jobs"] == 0 and all(rerun[k] == first[k] for k in ("ok", "failed", "triage")) else "fuzz-smoke: the rerun did not answer every program from the cache with the same verdicts")' \
+		"$$dir/first.json" "$$dir/rerun.json"
 
 # Link-checks README.md/docs/*.md and smoke-runs the GUIDE.md quickstart.
 docs-check:

@@ -165,11 +165,6 @@ class GeneticAutotuner:
         return self.crossover(*self.random.sample(survivors, 2))
 
     # -- fitness ----------------------------------------------------------------
-    def fitness(self, benchmark: str, candidate: Candidate) -> float:
-        """Evaluate one candidate: its zkVM total cycle count (inf on failure)."""
-        self.evaluate_generation(benchmark, [candidate])
-        return candidate.fitness
-
     def evaluate_generation(self, benchmark: str,
                             candidates: list[Candidate]) -> None:
         """Measure a generation's candidates as one batched shard.

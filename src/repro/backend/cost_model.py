@@ -23,19 +23,6 @@ class TargetCostModel:
     prefer_branchless_select: bool = True
     #: Expand multiplications by small constants into shift/add sequences.
     expand_mul_by_constant: bool = True
-    #: Relative instruction costs (used for reporting and by the autotuner's
-    #: static estimator, not by the emulator).
-    cost_alu: int = 1
-    cost_mul: int = 3
-    cost_div: int = 20
-    cost_load: int = 3
-    cost_store: int = 1
-    cost_branch: int = 2
-    #: Weight of byte-accurate code size (RVC-compressed ``code_bytes``) in
-    #: composite objectives.  0.0 keeps historical cycles-only behavior; the
-    #: autotuner's ``--size-weight`` folds bytes into candidate fitness as
-    #: ``cycles + weight * code_bytes``.
-    code_size_weight: float = 0.0
 
 
 CPU_COST_MODEL = TargetCostModel(name="cpu")
@@ -44,7 +31,6 @@ ZKVM_COST_MODEL = TargetCostModel(
     name="zkvm",
     prefer_branchless_select=False,
     expand_mul_by_constant=False,
-    cost_alu=1, cost_mul=1, cost_div=2, cost_load=1, cost_store=1, cost_branch=1,
 )
 
 

@@ -23,10 +23,10 @@ content-addressed on-disk cache afterwards:
 * ``repro fuzz``           — differential fuzzing: generated MiniC programs
   replayed through every oracle (IR interpreter, backend, all three
   emulators, cached-vs-fresh pipeline) under both paper profiles, sharded as
-  batched engine jobs; ``--minimize`` reduces failures to ``.repro`` files,
-  ``--journal``/``--resume`` checkpoint and continue interrupted campaigns.
-* ``repro cache``          — measurement-cache maintenance: ``stats``,
-  ``verify`` (scan + evict corrupt entries), ``clear``.
+  batched engine jobs; ``--minimize`` reduces failures to ``.repro`` files.
+* ``repro cache``          — measurement-cache maintenance (measurements and
+  fuzz verdicts): ``stats``, ``verify`` (scan + evict corrupt entries),
+  ``clear``.
 * ``repro list KIND``      — enumerate benchmarks/suites/profiles/figures/tables.
 
 Global flags (before the subcommand) select the worker count, the cache
@@ -34,11 +34,10 @@ directory, the emulator's instruction budget and the fault-tolerance knobs
 (``--job-timeout``, ``--retries``, ``--stats``).  ``--json`` on the reporting
 subcommands emits machine-readable output for scripting.
 
-Long campaigns survive interruption: ``Ctrl-C`` exits with status 130.  A
-``fuzz`` campaign journals each completed shard, and ``--resume`` picks up
-where the journal left off.  An ``autotune`` search needs no journal: its
-finished candidates are in the measurement cache, so rerunning the same
-command (or a larger ``--iterations``) replays them as cache hits.
+Long campaigns survive interruption: ``Ctrl-C`` exits with status 130.
+Every finished autotune candidate and fuzz verdict is in the measurement
+cache, so rerunning the same command (or a larger ``--iterations`` or
+``--seeds``) answers them as disk hits and computes only the rest.
 """
 
 from __future__ import annotations
@@ -308,18 +307,13 @@ def _cmd_regenerate(args) -> int:
     return 0
 
 
-def _journal_for(args, default_name: str):
-    """The journal path for a fuzz campaign, or None when disabled.
-
-    Journaling engages when ``--journal`` names one explicitly or ``--resume``
-    asks to continue the derived default for these campaign parameters.
-    """
-    from .experiments.journal import resolve_journal_path
-
-    if not args.journal and not args.resume:
-        return None
-    return resolve_journal_path(args.journal or default_name,
-                                cache_dir=args.cache_dir)
+def _report_interrupt(engine, finished: str) -> None:
+    """Ctrl-C's hint: what the cache kept and how to continue."""
+    print(f"\ninterrupted; finished {finished} are in the measurement cache "
+          "— rerun the same command to continue"
+          if engine.cache is not None else
+          f"\ninterrupted; --no-disk-cache kept no {finished}",
+          file=sys.stderr)
 
 
 def _cmd_autotune(args) -> int:
@@ -333,11 +327,7 @@ def _cmd_autotune(args) -> int:
         result = tuner.tune(_check_benchmark(args.benchmark),
                             iterations=args.iterations)
     except KeyboardInterrupt:
-        print("\ninterrupted; finished candidates are in the measurement "
-              "cache — rerun the same command to continue"
-              if engine.cache is not None else
-              "\ninterrupted; --no-disk-cache kept no finished candidates",
-              file=sys.stderr)
+        _report_interrupt(engine, "candidates")
         _report_engine(engine, full=args.engine_stats)
         return 130
     summary = {
@@ -504,34 +494,24 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .experiments.journal import JournalMismatch
     from .fuzz import HarnessConfig, run_campaign
     from .fuzz.driver import DEFAULT_MAX_MINIMIZE
 
     engine = _make_engine(args)
     config = HarnessConfig(emulator_max_instructions=args.max_instructions)
-    journal = _journal_for(
-        args, f"fuzz-{args.mode}-{args.start_seed}+{args.seeds}")
     try:
         summary = run_campaign(
             seeds=args.seeds, mode=args.mode, start_seed=args.start_seed,
             engine=engine, config=config, minimize=args.minimize,
             corpus_dir=args.corpus_dir, shard_size=args.shard_size,
             max_minimize=args.max_minimize
-            if args.max_minimize is not None else DEFAULT_MAX_MINIMIZE,
-            journal=journal, resume=args.resume,
-            stop_after_shards=args.stop_after_shards)
+            if args.max_minimize is not None else DEFAULT_MAX_MINIMIZE)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    except JournalMismatch as exc:
         raise UsageError(str(exc)) from exc
     _emit(summary.as_dict(), as_json=args.json)
     _report_engine(engine, full=args.engine_stats)
     if summary.interrupted:
-        print("interrupted; completed shards are journaled"
-              + (f" in {journal} — rerun with --resume to continue"
-                 if journal is not None else
-                 " only with --journal/--resume"), file=sys.stderr)
+        _report_interrupt(engine, "verdicts")
         return 130
     return 0 if summary.clean else 1
 
@@ -724,15 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="programs per batched engine job")
     p.add_argument("--max-minimize", type=int, default=None,
                    help="cap on minimizations per campaign (default: 25)")
-    p.add_argument("--journal", default=None,
-                   help="checkpoint each completed shard to this journal "
-                        "(a name under the cache root, or a path)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay the journal's completed shards and run only "
-                        "the missing ones")
-    p.add_argument("--stop-after-shards", type=int, default=None,
-                   help="submit at most this many shards, then stop "
-                        "(resumable; for incremental campaigns)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
 

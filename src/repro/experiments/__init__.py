@@ -19,10 +19,6 @@ from .engine import EngineStats, ExperimentEngine
 from .faults import (
     FaultPlan, FaultSpec, JobFailure, PoisonJobError, fault_point,
 )
-from .journal import (
-    CampaignJournal, JournalMismatch, default_journal_dir,
-    resolve_journal_path,
-)
 from . import figures, tables
 
 __all__ = [
@@ -33,7 +29,5 @@ __all__ = [
     "CacheStats", "MeasurementCache", "measurement_fingerprint",
     "EngineStats", "ExperimentEngine",
     "FaultPlan", "FaultSpec", "JobFailure", "PoisonJobError", "fault_point",
-    "CampaignJournal", "JournalMismatch", "default_journal_dir",
-    "resolve_journal_path",
     "figures", "tables",
 ]

@@ -22,7 +22,9 @@ Entries are pickled ``(schema_version, Measurement)`` envelopes stored under
 observe torn entries; corrupt, truncated, unreadable or wrong-schema entries
 are treated as misses, counted on ``stats.errors`` and evicted, so a damaged
 cache always degrades to recomputation instead of failing runs
-(``repro cache verify`` runs that eviction as a batch scan).
+(``repro cache verify`` runs that eviction as a batch scan).  The
+differential fuzzer's verdicts share the store, one entry per distinct
+program (:mod:`repro.fuzz.driver`).
 
 :func:`module_key` and :func:`program_key` key the runner's in-process
 memos one step later: on the optimized module and on the compiled program,
@@ -276,10 +278,14 @@ class CacheStats:
 
 
 class MeasurementCache:
-    """Persistent measurement store shared by every engine on this machine.
+    """Persistent store of measurements and fuzz verdicts, shared by every
+    engine on this machine.
 
-    ``get``/``put`` are keyed by :func:`measurement_fingerprint` digests.
-    The cache is safe to share between processes: entries are immutable once
+    ``get``/``put`` are keyed by :func:`measurement_fingerprint` digests for
+    measurements and by :func:`repro.fuzz.driver._verdict_key` digests for
+    :class:`~repro.fuzz.harness.DifferentialReport` verdicts; both hash
+    :func:`_environment_blob`, so any source edit retires every entry.  The
+    cache is safe to share between processes: entries are immutable once
     written and writes are atomic renames.
     """
 
@@ -297,7 +303,8 @@ class MeasurementCache:
 
     # -- lookup / store ------------------------------------------------------
     def get(self, key: str) -> Optional["Measurement"]:
-        """The cached measurement for ``key``, or None on a miss.
+        """The entry (a measurement or a verdict) for ``key``, or None on a
+        miss.
 
         Unreadable, truncated, corrupt or wrong-schema entries count as
         misses (and are removed), so a damaged cache degrades to
@@ -325,7 +332,8 @@ class MeasurementCache:
         return envelope[1]
 
     def put(self, key: str, measurement: "Measurement") -> None:
-        """Persist ``measurement`` under ``key`` (atomic, last-writer-wins)."""
+        """Persist ``measurement`` (or a verdict) under ``key`` (atomic,
+        last-writer-wins)."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -93,7 +93,8 @@ class EngineStats:
 
     #: Jobs answered from the in-process fingerprint cache.
     memory_hits: int = 0
-    #: Jobs answered from the on-disk cache.
+    #: Jobs answered from the on-disk cache: measurements, and the fuzz
+    #: verdicts a campaign found stored.
     disk_hits: int = 0
     #: Recipe misses: jobs the memory and disk caches could not answer, so
     #: the compute step ran (passes, then backend and replay unless reused).
@@ -290,8 +291,8 @@ class ExperimentEngine(BenchmarkRunner):
         / ``"report"``).  ``labels`` names jobs in failure records and
         ``on_result(index, outcome)`` — with ``outcome`` a result or a
         :class:`JobFailure` — fires once per job *as it finishes* (completion
-        order), which is what lets campaign drivers journal incremental
-        progress for ``--resume``.
+        order), which lets the fuzz driver store each shard's verdicts as
+        the shard finishes, so an interrupted campaign keeps them.
         """
         jobs = list(jobs)
         outcomes = self._map_batch(fn, jobs, labels=labels, on_result=on_result)

@@ -177,7 +177,10 @@ class AnalysisManager:
                     self._cross_check(name, checked, result)
 
     def _cross_check(self, name: str, function: Function, cached) -> None:
-        fresh = self._compute(name, function)
+        # The fresh side runs on a disabled manager, so it shares nothing
+        # with this cache: not the dominator tree a loop forest is built on,
+        # and not the stats.
+        fresh = AnalysisManager(enabled=False)._compute(name, function)
         if not _equivalent(name, cached, fresh):
             raise StaleAnalysisError(
                 f"cached '{name}' of function '{function.name}' does not match "

@@ -11,7 +11,8 @@ served exactly while its function's CFG version is unchanged.
 * after a module pass, only the functions whose CFG it changed recompute;
 * any CFG-version bump outdates the cached analyses;
 * a mutation that bypasses the IR mutation APIs is caught by the debug-mode
-  ``verify_analyses`` cross-check;
+  ``verify_analyses`` cross-check, whose fresh side shares nothing with the
+  cache it checks (verify mode counts exactly like plain mode);
 * no-op pass runs are skipped at unchanged IR epochs (and resume after a
   mutation);
 * pipeline failures carry the failing pass's name, index and function.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchmarks import get_benchmark
+from repro.experiments.profiles import profile_by_name
 from repro.frontend import compile_source
 from repro.ir import Branch, CondBranch, Function, Module
 from repro.passes import PassManager, get_pass
@@ -180,6 +183,21 @@ class TestInvalidationSemantics:
         _swap_a_branch(function)
         with pytest.raises(StaleAnalysisError):
             manager.domtree(function)
+
+    @pytest.mark.parametrize("name", ["fibonacci", "npb-cg", "sha256",
+                                      "polybench-gemm"])
+    def test_verify_mode_counts_like_plain_mode(self, name):
+        # The cross-check recomputes on a disabled manager: it neither reads
+        # the cached dominator tree nor counts its own requests as hits.
+        profile = profile_by_name("-O3")
+        module = compile_source(get_benchmark(name).source, module_name=name)
+        stats = []
+        for verify in (False, True):
+            manager = PassManager(profile.passes, profile.config,
+                                  verify_analyses=verify)
+            manager.run(module.clone())
+            stats.append(manager.analysis.stats)
+        assert stats[1] == stats[0]
 
     def test_disabled_manager_always_recomputes(self):
         module = _module()

@@ -212,10 +212,21 @@ class TestRegenerators:
 
     @pytest.mark.xfail(strict=True, reason=(
         "reproduction gap: -O3's mean RISC Zero execution gain is 4.85% on "
-        "this slice and 6.33% over all 58 benchmarks"))
+        "this slice and 6.33% over all 58 benchmarks, while its cycle gain "
+        "is 30.11% here; the model's fixed 0.9 ms execution overhead is "
+        "about 82% of the median baseline run's execution time, and with it "
+        "at 0 the execution gain reads 30.11% too"))
     def test_figure5_o3_gain_exceeds_8_percent(self, runner):
         result = figures.figure5_optimization_levels(runner, BENCH_BENCHMARKS)
         assert result["-O3"][("risc0", "execution_time")] > 8
+
+    def test_figure5_o3_cycle_gain_exceeds_8_percent(self, runner):
+        # The compiler's side of the claim: -O3 cuts the proven cycles on
+        # the same slice (30.11%), whatever the model's fixed overheads.
+        o3 = profile_by_name("-O3")
+        gains = [runner.gain(b, o3, "risc0", "total_cycles")
+                 for b in BENCH_BENCHMARKS]
+        assert sum(gains) / len(gains) > 8
 
     @pytest.mark.xfail(strict=True, reason=(
         "reproduction gap: after 6 evaluations the tuned recipe runs at "

@@ -4,9 +4,9 @@ Every degradation path the engine claims to survive is exercised here through
 the deterministic :class:`FaultPlan` harness: a job that raises recorded once
 and never re-run, hung jobs timed out and retried without stalling their
 batch, worker-killing poison jobs bisected out while innocent jobs keep their
-results, damaged cache entries degrading to recomputation, interrupted fuzz
-campaigns resuming from their journals to the same totals as uninterrupted
-runs, and autotune searches resuming from the measurement cache.
+results, damaged cache entries degrading to recomputation, and interrupted
+fuzz campaigns and autotune searches resuming from the measurement cache to
+the same results as uninterrupted runs.
 """
 
 import json
@@ -25,16 +25,14 @@ import pytest
 from repro import cli
 from repro.autotuner import GeneticAutotuner
 from repro.experiments import BenchmarkRunner, baseline_profile
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import CACHE_SCHEMA_VERSION, MeasurementCache
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.faults import (
     FAULT_PLAN_ENV, FaultPlan, FaultSpec, InjectedPermanentError, JobFailure,
     PoisonJobError, fault_point,
 )
-from repro.experiments.journal import (
-    CampaignJournal, JournalMismatch, resolve_journal_path,
-)
-from repro.fuzz import driver
+from repro.fuzz import CampaignSummary, HarnessConfig
 from repro.fuzz.driver import run_campaign
 
 
@@ -65,6 +63,12 @@ def _engine(tmp_path, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("use_disk_cache", False)
     return ExperimentEngine(**kwargs)
+
+
+def _stored(tmp_path, **kwargs):
+    """An engine on the disk cache under ``tmp_path / "store"``."""
+    return _engine(tmp_path, cache_dir=tmp_path / "store",
+                   use_disk_cache=True, **kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -416,102 +420,69 @@ class TestCacheDamageModes:
         assert not bad.exists()
 
 
-class TestJournal:
-    FP = {"kind": "test", "param": 1}
-
-    def test_round_trip(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        assert journal.open(self.FP) == []
-        journal.record({"type": "shard", "shard": 0, "ok": 3})
-        journal.record({"type": "shard", "shard": 1, "ok": 2})
-        journal.close()
-        assert [r["shard"] for r
-                in CampaignJournal(tmp_path / "j.jsonl")
-                .open(self.FP, resume=True)] == [0, 1]
-
-    def test_mismatch_refuses_resume(self, tmp_path):
-        with CampaignJournal(tmp_path / "j.jsonl") as journal:
-            journal.open(self.FP)
-        with pytest.raises(JournalMismatch):
-            CampaignJournal(tmp_path / "j.jsonl").open(
-                {"kind": "test", "param": 2}, resume=True)
-
-    def test_fresh_run_discards_old_journal(self, tmp_path):
-        with CampaignJournal(tmp_path / "j.jsonl") as journal:
-            journal.open(self.FP)
-            journal.record({"type": "shard", "shard": 0})
-        with CampaignJournal(tmp_path / "j.jsonl") as journal:
-            assert journal.open(self.FP, resume=False) == []
-        assert CampaignJournal(tmp_path / "j.jsonl") \
-            .open(self.FP, resume=True) == []
-
-    def test_torn_tail_is_skipped(self, tmp_path):
-        with CampaignJournal(tmp_path / "j.jsonl") as journal:
-            journal.open(self.FP)
-            journal.record({"type": "shard", "shard": 0})
-        with open(tmp_path / "j.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"type": "shard", "shard": 1, "resu')  # torn write
-        entries = CampaignJournal(tmp_path / "j.jsonl") \
-            .open(self.FP, resume=True)
-        assert [r["shard"] for r in entries] == [0]
-
-    def test_resolve_journal_path(self, tmp_path):
-        explicit = resolve_journal_path(tmp_path / "x.jsonl")
-        assert explicit == tmp_path / "x.jsonl"
-        named = resolve_journal_path("my-campaign", cache_dir=tmp_path)
-        assert named == tmp_path / "journals" / "my-campaign.jsonl"
-
-
 class TestCampaignResume:
-    def test_fuzz_stop_and_resume_matches_fresh_run(self, tmp_path):
-        journal = tmp_path / "fuzz.jsonl"
-        engine = _engine(tmp_path, workers=1)
-        part = run_campaign(12, engine=engine, shard_size=3,
-                            journal=journal, stop_after_shards=2)
-        assert part.stopped_early and not part.complete
-        assert part.executed_shards == 2
+    """Fuzz verdicts live in the measurement cache, one entry per program."""
 
-        engine = _engine(tmp_path, workers=1)
-        resumed = run_campaign(12, engine=engine, shard_size=3,
-                               journal=journal, resume=True)
-        assert resumed.complete
-        assert resumed.resumed_shards == 2
+    def test_second_engine_answers_every_program(self, tmp_path):
+        fresh = run_campaign(12, engine=_stored(tmp_path), shard_size=3)
+        engine = _stored(tmp_path)
+        rerun = run_campaign(12, engine=engine, shard_size=3)
+        assert engine.stats.disk_hits == rerun.unique_programs \
+            == fresh.unique_programs
+        assert engine.stats.parallel_jobs == 0
+        assert (rerun.ok, rerun.failed, rerun.triage.as_dict()) \
+            == (fresh.ok, fresh.failed, fresh.triage.as_dict())
+        assert not engine._memory  # the engine's memo holds measurements only
 
-        fresh = run_campaign(12, engine=_engine(tmp_path, workers=1),
-                             shard_size=3)
-        assert (resumed.ok, resumed.failed) == (fresh.ok, fresh.failed)
-        assert resumed.triage.as_dict() == fresh.triage.as_dict()
+    def test_longer_campaign_answers_the_first_programs(self, tmp_path):
+        first = run_campaign(8, engine=_stored(tmp_path), shard_size=3)
+        engine = _stored(tmp_path)
+        longer = run_campaign(12, engine=engine, shard_size=3)
+        assert engine.stats.disk_hits == first.unique_programs
+        assert engine.cache.stats.stores \
+            == longer.unique_programs - first.unique_programs
+        assert longer.ok + longer.failed == longer.unique_programs
 
-    def test_fuzz_resume_refuses_different_campaign(self, tmp_path):
-        journal = tmp_path / "fuzz.jsonl"
-        run_campaign(6, engine=_engine(tmp_path, workers=1), shard_size=3,
-                     journal=journal, stop_after_shards=1)
-        with pytest.raises(JournalMismatch):
-            run_campaign(8, engine=_engine(tmp_path, workers=1), shard_size=3,
-                         journal=journal, resume=True)
+    def test_changed_environment_recomputes(self, tmp_path, monkeypatch):
+        # A verdict never outlives the code that produced it.
+        run_campaign(4, engine=_stored(tmp_path), shard_size=2)
+        monkeypatch.setattr(cache_module, "_source_digest", lambda: "0" * 64)
+        cache_module._environment_blob.cache_clear()
+        try:
+            engine = _stored(tmp_path)
+            summary = run_campaign(4, engine=engine, shard_size=2)
+        finally:
+            cache_module._environment_blob.cache_clear()
+        assert engine.stats.disk_hits == 0
+        assert engine.cache.stats.stores == summary.unique_programs
 
-    def test_fuzz_resume_refuses_a_journal_from_other_code(self, tmp_path,
-                                                           monkeypatch):
-        # Verdicts from two versions of the compiler must not be merged.
-        journal = tmp_path / "fuzz.jsonl"
-        run_campaign(6, engine=_engine(tmp_path, workers=1), shard_size=3,
-                     journal=journal, stop_after_shards=1)
-        monkeypatch.setattr(driver, "_source_digest", lambda: "0" * 64)
-        with pytest.raises(JournalMismatch):
-            run_campaign(6, engine=_engine(tmp_path, workers=1), shard_size=3,
-                         journal=journal, resume=True)
+    def test_changed_harness_config_recomputes(self, tmp_path):
+        run_campaign(4, engine=_stored(tmp_path), shard_size=2)
+        engine = _stored(tmp_path)
+        summary = run_campaign(4, engine=engine, shard_size=2,
+                               config=HarnessConfig(profiles=("-O3",)))
+        assert engine.stats.disk_hits == 0
+        assert engine.cache.stats.stores == summary.unique_programs
 
     def test_quarantined_shard_reported_not_silent(self, tmp_path):
         # A shard whose worker dies must surface as a structured job_failure
         # on the summary (with every other shard still fuzzed), not vanish.
-        engine = _engine(tmp_path)
+        # It is not a verdict, so nothing of it is stored: a rerun computes
+        # its programs and answers the rest from the cache.
         with FaultPlan([FaultSpec("fuzz-shard", match="3", action="kill",
                                   arg=0.5, times=20)], tmp_path / "plan"):
-            summary = run_campaign(12, engine=engine, shard_size=3)
+            summary = run_campaign(12, engine=_stored(tmp_path), shard_size=3)
         assert len(summary.job_failures) == 1
         assert summary.job_failures[0]["stage"] == "pool-kill"
         assert not summary.clean
         assert summary.ok + summary.failed == summary.unique_programs - 3
+
+        engine = _stored(tmp_path)
+        rerun = run_campaign(12, engine=engine, shard_size=3)
+        assert engine.stats.disk_hits == summary.unique_programs - 3
+        assert engine.cache.stats.stores == 3
+        assert not rerun.job_failures
+        assert rerun.ok + rerun.failed == rerun.unique_programs
 
     def test_autotune_resumes_from_the_measurement_cache(self, tmp_path):
         # A second engine on the same cache directory, with a larger budget,
@@ -585,47 +556,41 @@ class TestCliFaultSurface:
         assert self._run(tmp_path, "autotune", "fibonacci") == 130
         assert "rerun the same command" in capsys.readouterr().err
 
-    def test_fuzz_journal_resume_cli(self, tmp_path, capsys):
-        journal = tmp_path / "j.jsonl"
-        args = ["--no-disk-cache", "--workers", "1", "fuzz", "--seeds", "6",
-                "--shard-size", "2", "--journal", str(journal), "--json"]
-        assert cli.main(args + ["--stop-after-shards", "1"]) in (0, 1)
-        first = json.loads(capsys.readouterr().out)
-        assert first["stopped_early"] and first["executed_shards"] == 1
-        assert cli.main(args + ["--resume"]) in (0, 1)
-        second = json.loads(capsys.readouterr().out)
-        assert second["complete"]
-        assert second["resumed_shards"] == 1
-        assert second["ok"] + second["failed"] == second["unique_programs"]
+    def test_interrupted_fuzz_says_what_was_kept(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def interrupted(seeds, **kwargs):
+            return CampaignSummary(seeds=seeds, start_seed=0, mode="all",
+                                   interrupted=True)
+
+        monkeypatch.setattr("repro.fuzz.run_campaign", interrupted)
+        assert self._run(tmp_path, "fuzz", "--seeds", "2") == 130
+        assert "rerun the same command" in capsys.readouterr().err
+        assert cli.main(["--no-disk-cache", "fuzz", "--seeds", "2"]) == 130
+        assert "--no-disk-cache kept no verdicts" in capsys.readouterr().err
 
 
 class TestSigintEndToEnd:
-    def test_interrupted_fuzz_campaign_resumes(self, tmp_path):
-        """SIGINT a real `repro fuzz` mid-campaign: exit 130, journal intact,
-        --resume completes the remaining shards."""
-        journal = tmp_path / "campaign.jsonl"
+    def test_interrupted_fuzz_campaign_resumes(self, tmp_path, capsys):
+        """SIGINT a real `repro fuzz` once the cache holds two verdicts: exit
+        130 with the rerun hint.  Rerunning the same command answers them
+        from the cache and equals an uninterrupted run."""
+        cache_dir = tmp_path / "cache"
+        argv = ["--workers", "1", "fuzz", "--seeds", "16", "--shard-size", "1",
+                "--json"]
+        stored = ["--cache-dir", str(cache_dir), *argv]
         env = dict(os.environ, PYTHONPATH="src")
         env.pop(FAULT_PLAN_ENV, None)
-        argv = [sys.executable, "-m", "repro", "--no-disk-cache",
-                "--workers", "1", "fuzz", "--seeds", "30",
-                "--shard-size", "1", "--journal", str(journal), "--json"]
-        proc = subprocess.Popen(argv, cwd=Path(__file__).resolve().parent.parent,
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *stored],
+                                cwd=Path(__file__).resolve().parent.parent,
                                 env=env, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
         try:
-            # Wait until at least two shards are journaled, then interrupt.
             deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                if journal.exists() and \
-                        len(journal.read_text().splitlines()) >= 3:
-                    break
-                if proc.poll() is not None:
-                    break
-                time.sleep(0.1)
-            else:
-                pytest.fail("campaign never journaled a shard")
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGINT)
+            while len(list(cache_dir.glob("*/*.pkl"))) < 2:
+                if proc.poll() is not None or time.monotonic() > deadline:
+                    pytest.fail("campaign never stored two verdicts")
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
             stdout, stderr = proc.communicate(timeout=120)
         finally:
             if proc.poll() is None:
@@ -633,28 +598,15 @@ class TestSigintEndToEnd:
                 proc.communicate()
         assert proc.returncode == 130, \
             f"expected exit 130, got {proc.returncode}\nstderr: {stderr[-2000:]}"
-        assert "--resume" in stderr
-        interrupted = json.loads(stdout)
-        assert interrupted["interrupted"] and not interrupted["complete"]
+        assert "rerun the same command" in stderr
+        assert json.loads(stdout)["interrupted"]
+        kept = len(list(cache_dir.glob("*/*.pkl")))
 
-        # Resume in-process and finish the campaign.
-        rc = cli.main(["--no-disk-cache", "--workers", "1", "fuzz",
-                       "--seeds", "30", "--shard-size", "1",
-                       "--journal", str(journal), "--resume", "--json"])
-        assert rc in (0, 1)
-
-    def test_resumed_totals_match_uninterrupted(self, tmp_path, capsys):
-        # The cheap equivalence check: a stop/resume pair must report the
-        # same verdicts as one uninterrupted run (same seeds, same shards).
-        journal = tmp_path / "j.jsonl"
-        base = ["--no-disk-cache", "--workers", "1", "fuzz", "--seeds", "14",
-                "--shard-size", "2", "--json"]
-        assert cli.main(base + ["--journal", str(journal),
-                                "--stop-after-shards", "3"]) in (0, 1)
-        capsys.readouterr()
-        assert cli.main(base + ["--journal", str(journal), "--resume"]) in (0, 1)
-        resumed = json.loads(capsys.readouterr().out)
-        assert cli.main(base) in (0, 1)
+        assert cli.main(stored) in (0, 1)
+        rerun = json.loads(capsys.readouterr().out)
+        assert rerun["engine_stats"]["disk_hits"] == kept >= 2
+        assert not rerun["interrupted"]
+        assert cli.main(["--no-disk-cache", *argv]) in (0, 1)
         uninterrupted = json.loads(capsys.readouterr().out)
         for key in ("ok", "failed", "unique_programs", "triage"):
-            assert resumed[key] == uninterrupted[key], key
+            assert rerun[key] == uninterrupted[key], key

@@ -23,6 +23,7 @@ from repro.fuzz import (
     triage_failure, write_corpus,
 )
 from repro.fuzz import harness
+from repro.fuzz.driver import _verdict_key
 from repro.fuzz.triage import TriageSummary
 from repro.ir import BinaryOp
 from repro.ir.interpreter import InterpreterError, StepLimitExceeded, run_module
@@ -348,6 +349,38 @@ class TestCampaignDriver:
         for path, header, source in load_corpus(tmp_path):
             replay = run_differential(source, config)
             assert replay.stage == header["stage"]
+
+    def test_stored_failures_triage_like_fresh_ones(self, tmp_path):
+        # Failing verdicts are stored too; a rerun triages and persists
+        # them exactly as the run that computed them did.
+        config = HarnessConfig(profiles=[_evil_profile("fuzz-evil-flip-add")])
+
+        def campaign(corpus):
+            engine = ExperimentEngine(workers=1, cache_dir=tmp_path / "store")
+            summary = run_campaign(3, mode="mixed", engine=engine,
+                                   config=config, corpus_dir=tmp_path / corpus)
+            return summary, engine.stats
+
+        fresh, _ = campaign("fresh")
+        rerun, stats = campaign("rerun")
+        assert fresh.failed > 0
+        assert stats.disk_hits == rerun.unique_programs
+        assert rerun.triage.as_dict() == fresh.triage.as_dict()
+        assert len(rerun.corpus_files) == len(fresh.corpus_files)
+
+    def test_verdict_key_covers_each_ingredient(self):
+        config = HarnessConfig().as_kwargs()
+        reference = _verdict_key(REFERENCE_PROGRAM, config)
+        assert _verdict_key(REFERENCE_PROGRAM, dict(config)) == reference
+        variants = [_verdict_key(REFERENCE_PROGRAM + "\n", config)]
+        for field, value in [("profiles", ("-O3",)),
+                             ("interp_max_steps", 1_000),
+                             ("emulator_max_instructions", 1_000),
+                             ("verify_each_pass", True)]:
+            variants.append(_verdict_key(REFERENCE_PROGRAM,
+                                         {**config, field: value}))
+        assert reference not in variants
+        assert len(set(variants)) == len(variants)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
