@@ -21,10 +21,11 @@ from .encoding import (
 )
 from .isa import AssemblyFunction, AssemblyProgram, Label, MachineInstr, classify
 from .lowering import (
-    DATA_SEGMENT_BASE, FunctionLowering, HOST_CALL_IDS, STACK_TOP,
-    lower_module, remove_redundant_jumps,
+    DATA_SEGMENT_BASE, FunctionLowering, HOST_CALL_IDS, STACK_TOP, lower_module,
 )
-from .peephole import cleanup_after_regalloc, recolor_for_rvc, run_peephole
+from .peephole import (
+    cleanup_after_regalloc, drop_redundant_jumps, recolor_for_rvc, run_peephole,
+)
 from .regalloc import (
     LinearScanAllocator, allocate_registers, finalize_frame,
     weighted_static_cost,
@@ -51,7 +52,7 @@ def compile_module(module: Module,
             # the same loop-weighted cost the spill heuristic optimizes).
             retry = FunctionLowering(ir_functions[name], program, cost_model,
                                      hoist_limit=0).lower()
-            remove_redundant_jumps(retry)
+            drop_redundant_jumps(retry)
             retry_stats = _run_backend_pipeline(retry)
             if retry_stats["weighted_cost"] < stats["weighted_cost"]:
                 program.functions[name] = retry

@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 from . import rvc as _rvc
 from .isa import (AssemblyFunction, AssemblyProgram, INVERTED_BRANCHES, Label,
-                  MachineInstr, REGISTER_NUMBERS)
+                  MachineInstr, REGISTER_NUMBERS, role_positions)
 
 #: Where the text segment starts.  Anything below ``DATA_SEGMENT_BASE``
 #: (0x10000) works; 0x1000 leaves a null page unmapped like a real linker.
@@ -158,19 +158,9 @@ _LOAD_NAME = {v: k for k, v in _LOAD_FUNCT.items()}
 _STORE_NAME = {v: k for k, v in _STORE_FUNCT.items()}
 _BRANCH_NAME = {v: k for k, v in _BRANCH_FUNCT.items()}
 
-#: Every opcode :func:`encode_program` accepts on a ``MachineInstr``
-#: (canonical forms plus the pseudo-instructions it expands).
-ENCODABLE_OPCODES = frozenset(
-    list(_R_FUNCT) + list(_I_FUNCT) + list(_SHIFT_FUNCT) + list(_LOAD_FUNCT)
-    + list(_STORE_FUNCT) + list(_BRANCH_FUNCT)
-    + ["lui", "auipc", "jal", "jalr", "ecall", "ebreak",
-       "li", "mv", "neg", "seqz", "snez", "nop",
-       "beqz", "bnez", "j", "call", "ret"])
-
-
-def supports(opcode: str) -> bool:
-    """True when :func:`encode_program` can encode ``opcode``."""
-    return opcode in ENCODABLE_OPCODES
+#: opcode -> positions of its immediate operands (role ``i``), checked once
+#: before expansion.
+_IMMEDIATES = role_positions("i")
 
 
 # -- canonical atoms -----------------------------------------------------------
@@ -243,13 +233,6 @@ class EncodedProgram:
         return "\n".join(lines)
 
 
-def _int_operand(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise UnencodableOperandError(f"{what} must be an integer, got "
-                                      f"{value!r}")
-    return value
-
-
 def _expand(instr: MachineInstr, source: int) -> list:
     """Pseudo-expansion: one ``MachineInstr`` into canonical atoms.
 
@@ -257,6 +240,11 @@ def _expand(instr: MachineInstr, source: int) -> list:
     (never ``auipc``), so a reassembled round-trip stays runnable.
     """
     op, ops = instr.opcode, instr.operands
+    for pos in _IMMEDIATES.get(op, ()):
+        value = ops[pos]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UnencodableOperandError(
+                f"{op} immediate must be an integer, got {value!r}")
 
     def atom(opcode, operands, target=None, is_call=False):
         return _Atom(opcode, tuple(operands), target=target, is_call=is_call,
@@ -270,14 +258,13 @@ def _expand(instr: MachineInstr, source: int) -> list:
             return [atom(op, (ops[0], ops[2], ops[1]))]
         return [atom(op, (ops[0], ops[1], ops[2]))]
     if op in _I_FUNCT:
-        return [atom(op, (ops[0], ops[1], _int_operand(ops[2], f"{op} immediate")))]
+        return [atom(op, (ops[0], ops[1], ops[2]))]
     if op in _SHIFT_FUNCT:
-        shamt = _int_operand(ops[2], f"{op} shift amount") & 31
-        return [atom(op, (ops[0], ops[1], shamt))]
+        return [atom(op, (ops[0], ops[1], ops[2] & 31))]
     if op in _LOAD_FUNCT:
-        return [atom(op, (ops[0], _int_operand(ops[1], "load offset"), ops[2]))]
+        return [atom(op, (ops[0], ops[1], ops[2]))]
     if op in _STORE_FUNCT:
-        return [atom(op, (ops[0], _int_operand(ops[1], "store offset"), ops[2]))]
+        return [atom(op, (ops[0], ops[1], ops[2]))]
     if op in _BRANCH_FUNCT:
         return [atom(op, (ops[0], ops[1]), target=ops[2])]
     if op in ("beqz", "bnez"):
@@ -292,15 +279,13 @@ def _expand(instr: MachineInstr, source: int) -> list:
     if op == "ret":
         return [atom("jalr", ("zero", "ra", 0))]
     if op == "jalr":
-        return [atom("jalr", (ops[0], ops[1],
-                              _int_operand(ops[2], "jalr offset")))]
+        return [atom("jalr", (ops[0], ops[1], ops[2]))]
     if op == "lui":
-        return [atom("lui", (ops[0], _int_operand(ops[1], "lui immediate")))]
+        return [atom("lui", (ops[0], ops[1]))]
     if op == "auipc":
-        return [atom("auipc", (ops[0],
-                               _int_operand(ops[1], "auipc immediate")))]
+        return [atom("auipc", (ops[0], ops[1]))]
     if op == "li":
-        value = _int_operand(ops[1], "li immediate") & 0xFFFFFFFF
+        value = ops[1] & 0xFFFFFFFF
         if value >= 1 << 31:
             value -= 1 << 32
         if -2048 <= value <= 2047:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 # -- registers ---------------------------------------------------------------
 #: ABI register names, indexed by register number.
@@ -29,25 +28,56 @@ CALLEE_SAVED = frozenset(["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7",
                           "s8", "s9", "s10", "s11"])
 ARGUMENT_REGISTERS = ["a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"]
 
-# -- opcode classes ------------------------------------------------------------
-ALU_OPS = frozenset([
-    "add", "addi", "sub", "and", "andi", "or", "ori", "xor", "xori",
-    "sll", "slli", "srl", "srli", "sra", "srai",
-    "slt", "slti", "sltu", "sltiu", "lui", "auipc", "li", "mv", "neg", "seqz", "snez",
-])
+# -- opcodes -------------------------------------------------------------------
+#: Every opcode, declared once: ``(cost class, operand roles, opcodes)``.  The
+#: roles name each operand in assembler order: ``d`` a register written,
+#: ``u`` a register read, ``i`` an immediate, ``l`` a label and ``f`` a
+#: function symbol.  ``call`` and ``ecall`` also write ``ra``/``a0`` (and
+#: ``ecall`` reads ``a0``-``a2``/``a7``), but those are fixed physical
+#: registers, never operands.  Register allocation, the peephole passes and
+#: the encoder read the roles; the emulators keep their own semantics, which
+#: ``tests/test_backend_emulator.py`` checks the table against.
+_OPCODE_TABLE = (
+    ("alu", "duu", "add sub and or xor sll srl sra slt sltu"),
+    ("alu", "dui", "addi andi ori xori slli srli srai slti sltiu"),
+    ("alu", "di", "lui auipc li"),
+    ("alu", "du", "mv neg seqz snez"),
+    ("mul", "duu", "mul mulh mulhu mulhsu"),
+    ("div", "duu", "div divu rem remu"),
+    ("load", "diu", "lw lb lbu lh lhu"),
+    ("store", "uiu", "sw sb sh"),
+    ("branch", "uul", "beq bne blt bge bltu bgeu"),
+    ("branch", "ul", "beqz bnez"),
+    ("branch", "l", "j"),
+    ("jump", "dl", "jal"),
+    ("jump", "dui", "jalr"),
+    ("jump", "f", "call"),
+    ("jump", "", "ret"),
+    ("system", "", "ecall ebreak nop"),
+)
+#: opcode -> coarse instruction class, read by the cost models and emulators.
+OPCODE_CLASS: dict[str, str] = {op: cls for cls, _, ops in _OPCODE_TABLE
+                                for op in ops.split()}
+#: opcode -> operand roles, one letter per operand.
+OPERAND_ROLES: dict[str, str] = {op: roles for _, roles, ops in _OPCODE_TABLE
+                                 for op in ops.split()}
+
+
+def role_positions(role: str) -> dict[str, tuple[int, ...]]:
+    """opcode -> the positions of its operands that play ``role``."""
+    return {op: tuple(i for i, r in enumerate(roles) if r == role)
+            for op, roles in OPERAND_ROLES.items()}
+
+
+_DEFS = role_positions("d")
+_USES = role_positions("u")
+
 #: Conditional-branch inversions (``taken`` and ``not taken`` swapped),
 #: shared by the lowering's copy-free-edge inversion and the peephole's
 #: branch-over-jump flip so the two can never drift apart.
 INVERTED_BRANCHES = {"beq": "bne", "bne": "beq", "blt": "bge", "bge": "blt",
                      "bltu": "bgeu", "bgeu": "bltu",
                      "beqz": "bnez", "bnez": "beqz"}
-MUL_OPS = frozenset(["mul", "mulh", "mulhu", "mulhsu"])
-DIV_OPS = frozenset(["div", "divu", "rem", "remu"])
-LOAD_OPS = frozenset(["lw", "lb", "lbu", "lh", "lhu"])
-STORE_OPS = frozenset(["sw", "sb", "sh"])
-BRANCH_OPS = frozenset(["beq", "bne", "blt", "bge", "bltu", "bgeu", "beqz", "bnez", "j"])
-JUMP_OPS = frozenset(["jal", "jalr", "call", "ret"])
-SYSTEM_OPS = frozenset(["ecall", "ebreak", "nop"])
 
 
 @dataclass
@@ -55,8 +85,9 @@ class MachineInstr:
     """One RISC-V instruction (or pseudo-instruction).
 
     ``operands`` holds register names (strings such as ``"a0"`` or virtual
-    registers ``"%v12"``), integers (immediates) and label names, in the usual
-    assembler order for the opcode.
+    registers ``"%v12"``), integers (immediates) and label or function names,
+    in the usual assembler order for the opcode; ``OPERAND_ROLES`` gives each
+    position's role.
     """
 
     opcode: str
@@ -69,19 +100,29 @@ class MachineInstr:
         return f"{text}    # {self.comment}" if self.comment else text
 
     @property
+    def defs(self) -> tuple[int, ...]:
+        """Positions of the register operands this instruction writes."""
+        return _DEFS[self.opcode]
+
+    @property
+    def uses(self) -> tuple[int, ...]:
+        """Positions of the register operands this instruction reads."""
+        return _USES[self.opcode]
+
+    @property
     def is_branch(self) -> bool:
         """True for conditional branches and the unconditional ``j``."""
-        return self.opcode in BRANCH_OPS
+        return OPCODE_CLASS.get(self.opcode) == "branch"
 
     @property
     def is_jump(self) -> bool:
         """True for ``jal``/``jalr``/``call``/``ret``."""
-        return self.opcode in JUMP_OPS
+        return OPCODE_CLASS.get(self.opcode) == "jump"
 
     @property
     def is_store(self) -> bool:
         """True for memory stores (``sw``/``sb``/``sh``)."""
-        return self.opcode in STORE_OPS
+        return OPCODE_CLASS.get(self.opcode) == "store"
 
     @property
     def is_terminator_like(self) -> bool:
@@ -162,19 +203,6 @@ class AssemblyProgram:
         return "\n\n".join(parts)
 
 
-#: Precomputed opcode -> class table.  The emulator's decoder and the cost
-#: models share this so classification is a single dict probe instead of a
-#: linear membership chain.
-OPCODE_CLASS: dict[str, str] = {}
-for _ops, _cls in ((ALU_OPS, "alu"), (MUL_OPS, "mul"), (DIV_OPS, "div"),
-                   (LOAD_OPS, "load"), (STORE_OPS, "store"),
-                   (BRANCH_OPS, "branch"), (JUMP_OPS, "jump"),
-                   (SYSTEM_OPS, "system")):
-    for _op in _ops:
-        OPCODE_CLASS[_op] = _cls
-del _ops, _cls, _op
-
-
 class UnknownOpcodeError(ValueError):
     """An opcode with no ``OPCODE_CLASS`` entry.
 
@@ -186,7 +214,7 @@ class UnknownOpcodeError(ValueError):
 
     def __init__(self, opcode: str):
         super().__init__(f"unknown opcode: {opcode!r} (no OPCODE_CLASS entry; "
-                         f"add it to the opcode sets in repro.backend.isa)")
+                         f"add it to the opcode table in repro.backend.isa)")
         self.opcode = opcode
 
 

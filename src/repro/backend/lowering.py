@@ -45,6 +45,7 @@ from .isa import (
     ARGUMENT_REGISTERS, AssemblyFunction, AssemblyProgram, INVERTED_BRANCHES,
     Label, MachineInstr,
 )
+from .peephole import drop_redundant_jumps
 
 #: Host-call ABI: name -> ecall id (placed in a7).
 HOST_CALL_IDS = {
@@ -697,20 +698,6 @@ class FunctionLowering:
                            for d, s in pending]
 
 
-def remove_redundant_jumps(asm: AssemblyFunction) -> None:
-    """Delete jumps to the label that immediately follows them."""
-    body = asm.body
-    cleaned = []
-    for index, item in enumerate(body):
-        if isinstance(item, MachineInstr) and item.opcode == "j":
-            next_label = next((b for b in body[index + 1:] if isinstance(b, Label)
-                               or isinstance(b, MachineInstr)), None)
-            if isinstance(next_label, Label) and next_label.name == item.operands[0]:
-                continue
-        cleaned.append(item)
-    asm.body = cleaned
-
-
 def lower_module(module: Module,
                  cost_model: TargetCostModel = CPU_COST_MODEL) -> AssemblyProgram:
     """Lower an IR module to an RV32IM assembly program (virtual registers)."""
@@ -730,6 +717,6 @@ def lower_module(module: Module,
     for function in module.defined_functions():
         lowering = FunctionLowering(function, program, cost_model)
         asm = lowering.lower()
-        remove_redundant_jumps(asm)
+        drop_redundant_jumps(asm)
         program.functions[function.name] = asm
     return program

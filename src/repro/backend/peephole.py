@@ -35,19 +35,12 @@ Hit counters for every rule are accumulated into a plain dict (see
 
 from __future__ import annotations
 
-from .isa import CALLER_SAVED, INVERTED_BRANCHES, Label, MachineInstr, REGISTER_NUMBERS
-from .regalloc import instr_registers
+from .isa import CALLER_SAVED, INVERTED_BRANCHES, OPCODE_CLASS, Label, MachineInstr
 
-#: Opcodes that may be deleted when their destination register is unused.
-#: Loads are included: dropping a dead load changes paging/load counters but
-#: never guest-visible behaviour.
-_REMOVABLE_OPS = frozenset([
-    "add", "addi", "sub", "and", "andi", "or", "ori", "xor", "xori",
-    "sll", "slli", "srl", "srli", "sra", "srai",
-    "slt", "slti", "sltu", "sltiu", "lui", "li", "mv",
-    "mul", "mulh", "mulhu", "mulhsu", "div", "divu", "rem", "remu",
-    "lw", "lb", "lbu", "lh", "lhu",
-])
+#: Instruction classes whose definitions may be deleted when their
+#: destination register is unused.  Loads are included: dropping a dead load
+#: changes paging/load counters but never guest-visible behaviour.
+_REMOVABLE_CLASSES = frozenset(["alu", "mul", "div", "load"])
 
 #: Conditional branch inversions used by the branch-over-jump flip (the
 #: same table the lowering uses for copy-free-edge inversion).
@@ -88,7 +81,7 @@ def run_peephole(asm, max_rounds: int = 4) -> dict:
         _local_pass(asm, stats)
         _dead_code_pass(asm, stats)
         _flip_branches(asm, stats)
-        _drop_redundant_jumps(asm, stats)
+        stats["redundant_jumps"] += drop_redundant_jumps(asm)
         if sum(stats.values()) == before:
             break
     return stats
@@ -149,16 +142,12 @@ def _local_pass(asm, stats: dict) -> None:
         opcode = item.opcode
         ops = item.operands
 
-        # Control transfers and calls: propagate into the instruction's own
-        # uses first (below), but conservative state handling here.
-        def_positions, use_positions = instr_registers(item)
-
         # 1. Rewrite uses through the copy chain (virtual sources only: a
         # physical register may be clobbered by calls the chain cannot see).
-        for pos in use_positions:
+        # Control transfers and calls take part too; their state handling
+        # below is conservative.
+        for pos in item.uses:
             reg = ops[pos]
-            if not isinstance(reg, str):
-                continue
             resolved = _resolve(state, reg)
             if resolved != reg:
                 ops[pos] = resolved
@@ -215,7 +204,6 @@ def _local_pass(asm, stats: dict) -> None:
                 stats["load_forwarded"] += 1
                 # Fall through to the mv bookkeeping below.
                 opcode, ops = "mv", item.operands
-                def_positions, use_positions = instr_registers(item)
             else:
                 # A real memory read: it may observe any pending store whose
                 # address we cannot prove distinct (different base register,
@@ -243,9 +231,8 @@ def _local_pass(asm, stats: dict) -> None:
             continue
 
         # 4. Generic def bookkeeping (+ copy facts for mv).
-        defined = [ops[pos] for pos in def_positions if isinstance(ops[pos], str)]
-        for reg in defined:
-            state.kill_register(reg)
+        for pos in item.defs:
+            state.kill_register(ops[pos])
         if opcode == "mv":
             dest, source = ops[0], ops[1]
             if dest != source and (_is_vreg(source) or source == "zero"):
@@ -266,21 +253,19 @@ def _dead_code_pass(asm, stats: dict) -> None:
         for item in asm.body:
             if not isinstance(item, MachineInstr):
                 continue
-            _, use_positions = instr_registers(item)
-            for pos in use_positions:
+            for pos in item.uses:
                 reg = item.operands[pos]
                 if _is_vreg(reg):
                     uses[reg] = uses.get(reg, 0) + 1
         removed = 0
         kept = []
         for item in asm.body:
-            if isinstance(item, MachineInstr) and item.opcode in _REMOVABLE_OPS:
-                def_positions, _ = instr_registers(item)
-                if def_positions:
-                    dest = item.operands[def_positions[0]]
-                    if _is_vreg(dest) and not uses.get(dest):
-                        removed += 1
-                        continue
+            if isinstance(item, MachineInstr) \
+                    and OPCODE_CLASS[item.opcode] in _REMOVABLE_CLASSES:
+                dest = item.operands[item.defs[0]]
+                if _is_vreg(dest) and not uses.get(dest):
+                    removed += 1
+                    continue
             kept.append(item)
         if not removed:
             break
@@ -313,19 +298,20 @@ def _flip_branches(asm, stats: dict) -> None:
     asm.body = cleaned
 
 
-def _drop_redundant_jumps(asm, stats: dict) -> None:
-    """Delete jumps to the label that immediately follows them."""
+def drop_redundant_jumps(asm) -> int:
+    """Delete jumps to the label that immediately follows them; returns how
+    many were deleted."""
     body = asm.body
-    cleaned = []
+    kept = []
     for index, item in enumerate(body):
-        if isinstance(item, MachineInstr) and item.opcode == "j":
-            following = next((b for b in body[index + 1:]
-                              if isinstance(b, (Label, MachineInstr))), None)
-            if isinstance(following, Label) and following.name == item.operands[0]:
-                stats["redundant_jumps"] += 1
-                continue
-        cleaned.append(item)
-    asm.body = cleaned
+        following = body[index + 1] if index + 1 < len(body) else None
+        if (isinstance(item, MachineInstr) and item.opcode == "j"
+                and isinstance(following, Label)
+                and following.name == item.operands[0]):
+            continue
+        kept.append(item)
+    asm.body = kept
+    return len(body) - len(kept)
 
 
 # -- post-allocation cleanup ---------------------------------------------------
@@ -396,11 +382,8 @@ def cleanup_after_regalloc(asm) -> dict:
             mem[(base, offset)] = dest
             kept.append(item)
             continue
-        def_positions, _ = instr_registers(item)
-        for pos in def_positions:
-            reg = ops[pos]
-            if isinstance(reg, str):
-                _kill_physical(reg, const_of, mem)
+        for pos in item.defs:
+            _kill_physical(ops[pos], const_of, mem)
         if opcode == "mv":
             value = const_of.get(ops[1])
             if value is not None:
@@ -409,7 +392,7 @@ def cleanup_after_regalloc(asm) -> dict:
     asm.body = kept
 
     _flip_branches(asm, stats)
-    _drop_redundant_jumps(asm, stats)
+    stats["redundant_jumps"] += drop_redundant_jumps(asm)
     return stats
 
 
@@ -444,25 +427,26 @@ def recolor_for_rvc(asm) -> int:
       can only differ for values live across a ``call``/``ecall``, and the
       allocator never assigns caller-saved registers to such intervals.
 
-    Renames the most-frequently-used t-registers onto free a-registers
-    (most uses first) and returns how many registers were remapped.
+    Only register operands (roles ``d`` and ``u``) are renamed, so a call
+    to a function named like a register keeps its target.  Renames the
+    most-frequently-used t-registers onto free a-registers (most uses
+    first) and returns how many registers were remapped.
     ``repro lower --stats`` surfaces the count as ``rvc_recolored``.
     """
+    instrs = asm.instructions()
     counts: dict[str, int] = {}
-    used: set[str] = set()
-    for instr in asm.instructions():
-        for operand in instr.operands:
-            if isinstance(operand, str) and operand in REGISTER_NUMBERS:
-                used.add(operand)
-                counts[operand] = counts.get(operand, 0) + 1
-    free = [reg for reg in RVC_TARGETS if reg not in used]
-    sources = sorted((reg for reg in RVC_RENAMEABLE if reg in used),
+    for instr in instrs:
+        for pos in instr.defs + instr.uses:
+            reg = instr.operands[pos]
+            counts[reg] = counts.get(reg, 0) + 1
+    free = [reg for reg in RVC_TARGETS if reg not in counts]
+    sources = sorted((reg for reg in RVC_RENAMEABLE if reg in counts),
                      key=lambda reg: (-counts[reg], reg))
     mapping = dict(zip(sources, free))
     if not mapping:
         return 0
-    for instr in asm.instructions():
-        instr.operands = [mapping.get(operand, operand)
-                          if isinstance(operand, str) else operand
-                          for operand in instr.operands]
+    for instr in instrs:
+        for pos in instr.defs + instr.uses:
+            reg = instr.operands[pos]
+            instr.operands[pos] = mapping.get(reg, reg)
     return len(mapping)

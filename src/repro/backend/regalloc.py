@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .isa import (
     ARGUMENT_REGISTERS, AssemblyFunction, CALLEE_SAVED, CALLER_SAVED, Label,
-    MachineInstr, REGISTER_NAMES,
+    MachineInstr,
 )
 
 #: Registers handed out by the allocator.  t5/t6 are reserved as spill scratch.
@@ -43,43 +43,6 @@ SPILL_SCRATCH = ["t5", "t6"]
 
 def _is_vreg(operand) -> bool:
     return isinstance(operand, str) and operand.startswith("%")
-
-
-def instr_registers(instr: MachineInstr) -> tuple[list, list]:
-    """(defs, uses) positions of register operands for an instruction.
-
-    Returns two lists of operand *indices* so rewriting is straightforward.
-    The classification mirrors the executable semantics in
-    :mod:`repro.emulator.decoder` exactly — ``tests/test_backend_emulator.py``
-    locks the two down against each other with a table-driven test:
-
-    * stores (``sw``/``sb``/``sh``, operands ``value, offset, base``) read
-      both registers and write none;
-    * conditional branches read their one or two source registers;
-    * ``j``/``call``/``ret``/``ecall``/``ebreak``/``nop`` define no register
-      operand (``call`` writes ``ra`` and ``ecall`` writes ``a0``, but those
-      are fixed physical registers, never allocatable operands);
-    * ``jal rd, label`` and ``jalr rd, base, offset`` write ``rd`` (the link
-      register) and ``jalr`` additionally reads ``base``;
-    * everything else (ALU, loads, ``li``/``lui``/``mv``) writes its first
-      register operand and reads the rest.
-    """
-    opcode = instr.opcode
-    ops = instr.operands
-    reg_positions = [i for i, op in enumerate(ops) if isinstance(op, str) and
-                     (op.startswith("%") or op in REGISTER_NAMES)]
-    if opcode in ("sw", "sb", "sh"):
-        return [], reg_positions                       # store: value, base are uses
-    if opcode in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
-        return [], reg_positions
-    if opcode in ("beqz", "bnez"):
-        return [], reg_positions
-    if opcode in ("j", "call", "ret", "ecall", "ebreak", "nop"):
-        return [], reg_positions
-    if opcode in ("jal", "jalr"):
-        return reg_positions[:1], reg_positions[1:]
-    # Default: first register operand is the destination, the rest are sources.
-    return reg_positions[:1], reg_positions[1:]
 
 
 @dataclass
@@ -211,12 +174,11 @@ def compute_live_intervals(body: list,
             item = body[position]
             if not isinstance(item, MachineInstr):
                 continue
-            def_positions, use_positions = instr_registers(item)
-            for pos in use_positions:
+            for pos in item.uses:
                 reg = item.operands[pos]
                 if _is_vreg(reg) and reg not in defs[block_index]:
                     uses[block_index].add(reg)
-            for pos in def_positions:
+            for pos in item.defs:
                 reg = item.operands[pos]
                 if _is_vreg(reg):
                     defs[block_index].add(reg)
@@ -255,8 +217,7 @@ def compute_live_intervals(body: list,
             item = body[position]
             if not isinstance(item, MachineInstr):
                 continue
-            def_positions, use_positions = instr_registers(item)
-            for pos in def_positions:
+            for pos in item.defs:
                 reg = item.operands[pos]
                 if not _is_vreg(reg):
                     continue
@@ -265,7 +226,7 @@ def compute_live_intervals(body: list,
                 interval.weight += weight
                 segment_end = open_end.pop(reg, position)
                 raw_segments[reg].append((position, segment_end))
-            for pos in use_positions:
+            for pos in item.uses:
                 reg = item.operands[pos]
                 if not _is_vreg(reg):
                     continue
@@ -410,8 +371,7 @@ class LinearScanAllocator:
         for item in self.asm.body:
             if not isinstance(item, MachineInstr):
                 continue
-            def_positions, _ = instr_registers(item)
-            for pos in def_positions:
+            for pos in item.defs:
                 reg = item.operands[pos]
                 if not _is_vreg(reg):
                     continue
@@ -442,7 +402,6 @@ class LinearScanAllocator:
             if not isinstance(item, MachineInstr):
                 new_body.append(item)
                 continue
-            def_positions, use_positions = instr_registers(item)
             scratch_pool = list(SPILL_SCRATCH)
             reloads: list[MachineInstr] = []
             stores: list[MachineInstr] = []
@@ -450,7 +409,7 @@ class LinearScanAllocator:
             reloaded: dict[str, str] = {}  # spilled vreg -> scratch this instr
             drop_instruction = False
 
-            for pos in use_positions:
+            for pos in item.uses:
                 reg = item.operands[pos]
                 if not _is_vreg(reg):
                     continue
@@ -471,7 +430,7 @@ class LinearScanAllocator:
                             comment=f"reload {reg}"))
                     replacements[pos] = reloaded[reg] = scratch
 
-            for pos in def_positions:
+            for pos in item.defs:
                 reg = item.operands[pos]
                 if not _is_vreg(reg):
                     continue

@@ -24,10 +24,11 @@ class TraceStats:
     class_counts: dict = field(default_factory=dict)
     #: Executed instructions per opcode.
     opcode_counts: dict = field(default_factory=dict)
-    #: Number of taken / not-taken conditional branches.
+    #: Number of taken / not-taken conditional branches; an unconditional
+    #: ``j`` counts as a taken branch too.
     branches_taken: int = 0
     branches_not_taken: int = 0
-    #: Calls and returns (jal/jalr/call/ret pseudo expansion).
+    #: Executed ``call`` instructions; returns (``jalr``) are not counted.
     calls: int = 0
     #: Host calls by name (precompile usage).
     host_calls: dict = field(default_factory=dict)

@@ -86,3 +86,31 @@ def test_backend_stats_are_attached_and_sane(benchmark_name):
         assert stats["final_instructions"] == final
         assert stats["spill_loads"] >= 0 and stats["spill_stores"] >= 0
         assert isinstance(stats["peephole"], dict)
+
+
+#: ``helper`` calls ``t0`` and the program also defines ``a2``: a backend
+#: that reads ``call t0`` as a register read or renames it as a register
+#: makes the guest call ``a2`` instead, silently.
+REGISTER_NAMED_CALLEES = """
+fn t0(n) -> int { return n * 3 + 1; }
+fn a2(n) -> int { return n * 7 + 5; }
+fn helper(x) -> int { return t0(x) + 15; }
+fn main() -> int {
+  var acc = helper(333) + a2(0);
+  print(acc - 5);
+  return 0;
+}
+"""
+
+
+def test_calls_to_register_named_functions_keep_their_target():
+    unoptimized = compile_source(REGISTER_NAMED_CALLEES)
+    expected = run_module(unoptimized, "main")
+    for name in ("baseline", "-O0", "-O3"):
+        profile = profile_by_name(name)
+        module = unoptimized.clone()
+        if profile.passes:
+            PassManager(profile.passes, profile.config).run(module)
+        stats = Machine(compile_module(module, profile.cost_model)).run()
+        assert (stats.output, stats.return_value) == \
+            (expected.output, expected.return_value), f"under {name}"

@@ -7,14 +7,16 @@ from repro.backend import (
     CPU_COST_MODEL, ZKVM_COST_MODEL, compile_module, lower_module,
     run_peephole,
 )
+from repro.backend.encoding import decode_words, encode_one, encode_program
 from repro.backend.isa import (
-    ALLOCATABLE, CALLEE_SAVED, MachineInstr, classify,
+    ALLOCATABLE, CALLEE_SAVED, OPERAND_ROLES, AssemblyFunction,
+    AssemblyProgram, Label, MachineInstr, classify,
 )
+from repro.backend.lowering import HOST_CALL_IDS
 from repro.backend.regalloc import (
     LinearScanAllocator, SPILL_SCRATCH, compute_live_intervals,
-    instr_registers,
 )
-from repro.emulator import EmulationError, Machine, run_program
+from repro.emulator import EmulationError, Machine, ReferenceMachine, run_program
 from repro.frontend import compile_source
 from repro.ir.interpreter import run_module
 from repro.passes import run_passes
@@ -89,75 +91,55 @@ class TestLowering:
             classify("vadd.vv")
 
 
-#: (opcode, operands) -> (expected def names, expected use names).  The
-#: classification must match what the instruction actually reads/writes when
-#: executed — i.e. what the reference interpreter reports to its observers
-#: (see the cross-check below).  ``call``/``ecall`` write ``ra``/``a0`` as *implicit*
-#: fixed physical registers, never via operands, so they define nothing here.
-INSTR_REGISTER_TABLE = [
-    ("add",   ["t0", "t1", "t2"],   ["t0"], ["t1", "t2"]),
-    ("sub",   ["%v1", "%v2", "%v3"], ["%v1"], ["%v2", "%v3"]),
-    ("addi",  ["t0", "t1", 5],      ["t0"], ["t1"]),
-    ("slti",  ["t0", "t1", -3],     ["t0"], ["t1"]),
-    ("sltiu", ["t0", "t1", 1],      ["t0"], ["t1"]),
-    ("li",    ["t0", 42],           ["t0"], []),
-    ("lui",   ["t0", 1],            ["t0"], []),
-    ("mv",    ["t0", "a0"],         ["t0"], ["a0"]),
-    ("lw",    ["t0", 4, "sp"],      ["t0"], ["sp"]),
-    ("lb",    ["t0", 0, "t1"],      ["t0"], ["t1"]),
-    # Stores read the value *and* the base; operand order is value, offset,
-    # base — nothing is written.
-    ("sw",    ["t0", 4, "sp"],      [], ["t0", "sp"]),
-    ("sb",    ["t0", 0, "t1"],      [], ["t0", "t1"]),
-    ("sh",    ["t0", 0, "t1"],      [], ["t0", "t1"]),
-    ("beq",   ["t0", "t1", ".L"],   [], ["t0", "t1"]),
-    ("bne",   ["t0", "zero", ".L"], [], ["t0", "zero"]),
-    ("blt",   ["t0", "t1", ".L"],   [], ["t0", "t1"]),
-    ("bgeu",  ["t0", "t1", ".L"],   [], ["t0", "t1"]),
-    ("beqz",  ["t0", ".L"],         [], ["t0"]),
-    ("bnez",  ["%v9", ".L"],        [], ["%v9"]),
-    ("j",     [".L"],               [], []),
-    ("call",  ["helper"],           [], []),
-    ("ret",   [],                   [], []),
-    ("ecall", [],                   [], []),
-    ("ebreak", [],                  [], []),
-    ("nop",   [],                   [], []),
-    # jal/jalr write the link register operand; jalr also reads its base.
-    ("jal",   ["ra", ".L"],         ["ra"], []),
-    ("jalr",  ["zero", "ra", 0],    ["zero"], ["ra"]),
-]
+#: Table opcodes that ``ReferenceMachine`` does not execute, with the reason.
+#: Their roles are checked against the encoder only.
+UNEXECUTED_OPCODES = {
+    **dict.fromkeys(
+        ["mulh", "mulhu", "mulhsu", "auipc", "neg", "seqz", "snez",
+         "lb", "lbu", "lh", "lhu", "sb", "sh"],
+        "the lowering never emits it, so ReferenceMachine has no semantics "
+        "for it"),
+    "ret": "finalize_frame expands ret into the epilogue's jalr, so no "
+           "machine runs it",
+    "ebreak": "ReferenceMachine faults on ebreak before reporting it",
+}
 
 
-class TestInstrRegisters:
-    @pytest.mark.parametrize("opcode,operands,expected_defs,expected_uses",
-                             INSTR_REGISTER_TABLE)
-    def test_def_use_classification(self, opcode, operands, expected_defs,
-                                    expected_uses):
-        instr = MachineInstr(opcode, list(operands))
-        def_positions, use_positions = instr_registers(instr)
-        assert [operands[i] for i in def_positions] == expected_defs
-        assert [operands[i] for i in use_positions] == expected_uses
+def _role_program(opcode: str):
+    """A two-function program whose ``f`` holds ``opcode`` once, with operands
+    generated from its roles.
 
-    @pytest.mark.parametrize("opcode,operands,expected_defs,expected_uses",
-                             INSTR_REGISTER_TABLE)
-    def test_matches_reference_semantics(self, opcode, operands, expected_defs,
-                                         expected_uses):
-        """The def/use split must agree with the executable semantics: the
-        dest/sources the reference interpreter reports for the instruction."""
-        from repro.backend.isa import AssemblyFunction, AssemblyProgram, Label
-        from repro.backend.lowering import HOST_CALL_IDS
-        from repro.emulator import ReferenceMachine
+    Register roles take distinct registers in operand order, so each name
+    the reference reports points at one position.  The immediate is 0, so
+    every executed opcode lands on ``.L`` (index 0), returns into it or falls
+    through.
+    """
+    registers = iter(["t0", "t1", "t2"])
+    generated = {"i": 0, "l": ".L", "f": "helper"}
+    operands = [next(registers) if role in "du" else generated[role]
+                for role in OPERAND_ROLES[opcode]]
+    instr = MachineInstr(opcode, operands)
+    program = AssemblyProgram(functions={
+        "f": AssemblyFunction("f", body=[Label(".L"), instr]),
+        "helper": AssemblyFunction("helper", body=[
+            MachineInstr("jalr", ["zero", "ra", 0])]),
+    })
+    return program, instr
 
-        if opcode in ("lb", "sb", "sh", "ret", "ebreak"):
-            # The reference faults on these before reporting the instruction
-            # (lowering expands ret, so it never reaches an emulator).
-            pytest.skip("no executable semantics for this opcode")
-        program = AssemblyProgram(functions={
-            "f": AssemblyFunction("f", body=[
-                Label(".L"), MachineInstr(opcode, list(operands))]),
-            "helper": AssemblyFunction("helper", body=[
-                MachineInstr("jalr", ["zero", "ra", 0])]),
-        })
+
+class TestOperandRoles:
+    """Each opcode's declared roles against the two independent readers of
+    its operands: the reference interpreter and the binary encoder."""
+
+    @pytest.mark.parametrize("opcode", [
+        pytest.param(opcode, marks=pytest.mark.skip(
+            reason=UNEXECUTED_OPCODES[opcode]))
+        if opcode in UNEXECUTED_OPCODES else opcode
+        for opcode in sorted(OPERAND_ROLES)])
+    def test_defs_and_uses_match_reference_semantics(self, opcode):
+        """``defs``/``uses`` name exactly the ``dest``/``sources`` the
+        reference reports to its observers when it runs the instruction."""
+        program, instr = _role_program(opcode)
         events = []
 
         class Recorder:
@@ -168,22 +150,36 @@ class TestInstrRegisters:
         # Execute exactly one instruction; a7 makes an ecall print a0.
         machine = ReferenceMachine(program, max_instructions=1,
                                    observers=[Recorder()])
-        try:
+        with pytest.raises(EmulationError, match="instruction limit"):
             machine.run("f", [0] * 7 + [HOST_CALL_IDS["__print"]])
-        except EmulationError as exc:
-            assert "instruction limit" in str(exc)
         [(dest, sources)] = events
-        # call/ecall write ra/a0 and ecall reads a0-a2/a7 implicitly;
-        # instr_registers deliberately reports only *operand* registers —
-        # the allocator never assigns those.
+        defs = [instr.operands[pos] for pos in instr.defs]
+        uses = [instr.operands[pos] for pos in instr.uses]
         if opcode in ("call", "ecall"):
-            assert expected_defs == [] and expected_uses == []
+            # call writes ra; ecall writes a0 and reads a0-a2/a7.  Those are
+            # fixed registers, never operands, so neither property has them.
+            assert defs == uses == []
+            assert dest not in instr.operands
+            assert not set(sources) & set(instr.operands)
             return
-        def_positions, use_positions = instr_registers(
-            MachineInstr(opcode, list(operands)))
-        assert [operands[i] for i in def_positions] == \
-            ([dest] if dest is not None else [])
-        assert [operands[i] for i in use_positions] == sources
+        assert defs == ([dest] if dest is not None else [])
+        assert uses == sources
+
+    @pytest.mark.parametrize("opcode", sorted(OPERAND_ROLES))
+    def test_encodes_and_round_trips(self, opcode):
+        """The encoder accepts operands built from the roles (registers,
+        integer immediates, a label, a function), and the words decode and
+        re-encode byte-identically, plain and compressed."""
+        program, _ = _role_program(opcode)
+        for rvc in (False, True):
+            encoded = encode_program(program, rvc=rvc)
+            decoded = decode_words(encoded.blob, encoded.base_address)
+            assert b"".join(encode_one(i).to_bytes(i.size, "little")
+                            for i in decoded) == encoded.blob
+            assert [(i.word, i.opcode, i.operands, i.target)
+                    for i in decoded] == \
+                   [(i.word, i.opcode, i.operands, i.target)
+                    for i in encoded.instrs]
 
 
 class TestPeephole:

@@ -9,6 +9,8 @@ from repro import benchmarks
 from repro.benchmarks import (
     all_benchmark_names, benchmarks_in_suite, get_benchmark, suites,
 )
+from repro.cpu import DEFAULT_CPU
+from repro.emulator import TraceStats
 from repro.experiments import (
     BenchmarkRunner, all_study_profiles, baseline_profile, percent_change,
     profile_by_name, zkvm_aware_profile,
@@ -18,6 +20,7 @@ from repro.frontend import compile_source
 from repro.ir import verify_module
 from repro.ir.interpreter import run_module
 from repro.passes import OPTIMIZATION_LEVELS, pipeline_for_level
+from repro.zkvm import ZKVMS
 
 FAST_BENCHMARKS = ["fibonacci", "loop-sum", "polybench-trisolv", "npb-is", "rsp"]
 FAST_PASSES = ["inline", "licm", "mem2reg", "instcombine", "loop-extract"]
@@ -288,6 +291,57 @@ class TestRegenerators:
         assert abs_case["branchy"]["output"] == abs_case["branchless"]["output"]
         fission = tables.case_study_loop_fission()
         assert fission["fused"]["instructions"] < fission["fissioned"]["instructions"]
+
+
+def _assert_cost_model_identities(trace, zkvm_metrics: dict, cpu,
+                                  context: str) -> None:
+    """What each reported cost must equal, or bound, given its trace."""
+    for name, metrics in zkvm_metrics.items():
+        model = ZKVMS[name]
+        where = f"{context}, {name}"
+        assert metrics.total_cycles == \
+            metrics.user_cycles + metrics.paging_cycles, where
+        assert metrics.paging_cycles == \
+            trace.page_in_events * model.page_in_cycles \
+            + trace.page_out_events * model.page_out_cycles, where
+        assert metrics.segments == \
+            max(1, -(-metrics.total_cycles // model.segment_cycles)), where
+    if cpu is not None:
+        assert cpu.cycles * DEFAULT_CPU.issue_width >= trace.instructions, \
+            context
+        assert cpu.mispredictions <= \
+            trace.branches_taken + trace.branches_not_taken, context
+        assert cpu.cache_misses <= trace.loads + trace.stores, context
+
+
+class TestCostModelIdentities:
+    """The zkVM and CPU models against the traces they cost.
+
+    Kept out of the fuzz loop: a campaign pays nothing for these.
+    """
+
+    def test_measurements_obey_the_identities(self, runner):
+        for name in BENCH_BENCHMARKS:
+            for profile in (baseline_profile(), profile_by_name("-O3")):
+                measurement = runner.measure(name, profile)
+                assert measurement.cpu is not None
+                _assert_cost_model_identities(
+                    measurement.trace,
+                    {"risc0": measurement.risc0, "sp1": measurement.sp1},
+                    measurement.cpu, f"{name} under {profile.name}")
+
+    @pytest.mark.parametrize("segments", [2, 3])
+    def test_traces_longer_than_one_segment(self, segments):
+        """Every benchmark fits one segment, so the rounding of the segment
+        count shows only on a synthetic trace that spills into the next."""
+        for name, model in ZKVMS.items():
+            cycles = (segments - 1) * model.segment_cycles + 1
+            trace = TraceStats(instructions=cycles, class_counts={"alu": cycles},
+                               page_in_events=3, page_out_events=2)
+            metrics = model.evaluate(trace)
+            assert metrics.segments == segments, name
+            _assert_cost_model_identities(trace, {name: metrics}, None,
+                                          f"{cycles} alu cycles")
 
 
 class TestAutotuner:

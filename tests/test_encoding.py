@@ -28,13 +28,14 @@ import pytest
 
 from repro.backend import compile_module
 from repro.backend.encoding import (
-    BASE_ADDRESS, ENCODABLE_OPCODES, DisassemblyError, EncodeError,
-    ImmediateRangeError, RelocationError, UnencodableOperandError,
-    UnsupportedOpcodeError, _encode32, decode_words, encode_one,
-    encode_program, fold_relaxed_branches, reassemble, supports,
+    BASE_ADDRESS, DisassemblyError, EncodeError, ImmediateRangeError,
+    RelocationError, UnencodableOperandError, UnsupportedOpcodeError,
+    _encode32, decode_words, encode_one, encode_program,
+    fold_relaxed_branches, reassemble,
 )
 from repro.backend.isa import (
-    OPCODE_CLASS, MachineInstr, UnknownOpcodeError, classify,
+    AssemblyFunction, AssemblyProgram, MachineInstr, UnknownOpcodeError,
+    classify,
 )
 from repro.backend.rvc import (
     COMPRESSED_REGISTERS, CompressedDecodeError, compress, decode_compressed,
@@ -161,12 +162,25 @@ def test_unknown_register_is_rejected():
         _encode32("add", ("a0", "a1", "x99"))
 
 
+@pytest.mark.parametrize("instr", [
+    MachineInstr("li", ["a0", "table"]),
+    MachineInstr("slli", ["a0", "a1", "4"]),
+    MachineInstr("sw", ["a0", None, "sp"]),
+], ids=lambda instr: instr.opcode)
+def test_non_integer_immediate_is_rejected(instr):
+    """The operands the ISA table marks as immediates are checked once,
+    before pseudo-expansion does arithmetic on them."""
+    program = AssemblyProgram(functions={
+        "f": AssemblyFunction("f", body=[instr])})
+    with pytest.raises(UnencodableOperandError,
+                       match=f"{instr.opcode} immediate"):
+        encode_program(program)
+
+
 def test_unsupported_opcode_is_rejected_by_name():
     with pytest.raises(UnsupportedOpcodeError) as excinfo:
         _encode32("fmadd.s", ("a0", "a1", "a2"))
     assert excinfo.value.opcode == "fmadd.s"
-    assert not supports("fmadd.s")
-    assert supports("add")
 
 
 def test_rvc_immediate_edges():
@@ -230,7 +244,8 @@ def test_decode_words_rejects_truncated_blob():
 
 
 # ---------------------------------------------------------------------------
-# Opcode coverage: classify() and the encoder agree on the ISA surface.
+# Opcode coverage.  Every opcode in the ISA table encodes and round-trips:
+# TestOperandRoles in test_backend_emulator.py builds each from its roles.
 # ---------------------------------------------------------------------------
 
 def test_classify_raises_named_error():
@@ -238,21 +253,6 @@ def test_classify_raises_named_error():
         classify("bogus-op")
     assert excinfo.value.opcode == "bogus-op"
     assert isinstance(excinfo.value, ValueError)   # compat with old callers
-
-
-def test_every_classified_opcode_is_encodable():
-    """Anything the lowering can emit must encode (so ``code_bytes`` never
-    silently drops a function)."""
-    missing = sorted(op for op in OPCODE_CLASS if not supports(op))
-    assert not missing, f"OPCODE_CLASS entries without an encoding: {missing}"
-
-
-def test_every_encodable_opcode_is_classified():
-    unclassified = sorted(op for op in ENCODABLE_OPCODES
-                          if op not in OPCODE_CLASS)
-    assert not unclassified, \
-        f"encoder accepts opcodes the cost models cannot classify: " \
-        f"{unclassified}"
 
 
 def test_lowered_benchmarks_use_only_classified_opcodes():
